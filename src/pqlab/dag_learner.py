@@ -6,10 +6,10 @@ of every route changes nothing observable), so the learner reconstructs an
 identically.  It spends exactly |E| queries per player level, n*|E| total.
 
 Pipeline: contract dependent edge pairs (zero queries), learn all load-1
-values by processing vertices in topological order, then lift level by level
-using bridge queries and two-path queries whose loads are arranged so every
-unknown quantity appears exactly once.  A pure equilibrium of the learned
-game is found by potential descent and maps back through the contraction.
+values in topological order, then lift level by level with bridge and
+two-path queries whose loads make every unknown appear exactly once; their
+paths are planned once per network and replayed at every level.  A pure
+equilibrium is found by potential descent and maps back through contraction.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     PathSelectionFailed,
     PotentialNotDecreasing,
 )
-from .games import CongestionGame, Network, Path, edge_loads, enumerate_paths
+from .games import CongestionGame, Network, Path, edge_loads
 
 _ZERO = Fraction(0)
 
@@ -61,13 +61,8 @@ class PartialCostFunction:
                 f"edge {edge} has no learned value at load {load}"
             ) from None
 
-    def defined_loads(self, edge: int) -> tuple[int, ...]:
-        return tuple(sorted(self._values[edge]))
-
     def is_total(self) -> bool:
-        return all(
-            len(loads) == self.players for loads in self._values.values()
-        )
+        return all(len(loads) == self.players for loads in self._values.values())
 
     def as_tables(self) -> dict[int, tuple[Fraction, ...]]:
         """Dense tables over loads 0..n; the (never-charged) load-0 entry
@@ -135,9 +130,7 @@ def two_edge_disjoint_paths(net: Network, frm: int, to: int) -> tuple[Path, Path
         v = frm
         path: list[int] = []
         while v != to:
-            e = next(
-                e for e in net.out_edges[v] if flow[e] == 1 and e not in used
-            )
+            e = next(e for e in net.out_edges[v] if flow[e] == 1 and e not in used)
             used.add(e)
             path.append(e)
             v = net.edges[e][1]
@@ -164,10 +157,18 @@ class ContractionMap:
     original: Network
     reduced: Network
     steps: list[ContractionStep]
+    _mapped: dict[Path, Path] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
-    def removed_edges(self) -> dict[int, tuple[int, int]]:
-        return {s.removed: self.original.edges[s.removed] for s in self.steps}
+    def _removed_out(self) -> dict[int, list[tuple[int, int]]]:
+        """Tail vertex -> (removed edge, head) pairs, lowest edge id first."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for e in sorted(s.removed for s in self.steps):
+            tail, head = self.original.edges[e]
+            out.setdefault(tail, []).append((e, head))
+        return out
 
     @cached_property
     def absorbed(self) -> dict[int, tuple[int, ...]]:
@@ -179,7 +180,12 @@ class ContractionMap:
         return {e: tuple(sorted(ids)) for e, ids in acc.items()}
 
     def map_path_back(self, path: Path) -> Path:
-        """Original o-d path realising a reduced path (contracted edges reinserted)."""
+        """Original o-d path realising a reduced path (contracted edges reinserted).
+
+        Each distinct path is mapped and validated once, then remembered.
+        """
+        if path in self._mapped:
+            return self._mapped[path]
         out: list[int] = []
         at = self.original.origin
         for e in path:
@@ -192,6 +198,7 @@ class ContractionMap:
             out.extend(self._bridge(at, self.original.destination))
         result = tuple(out)
         self.original.validate_path(result)
+        self._mapped[path] = result
         return result
 
     def _bridge(self, frm: int, to: int) -> list[int]:
@@ -203,9 +210,8 @@ class ContractionMap:
             v = queue.popleft()
             if v == to:
                 break
-            for e in sorted(self.removed_edges):
-                t, h = self.removed_edges[e]
-                if t == v and h not in seen:
+            for e, h in self._removed_out.get(v, ()):
+                if h not in seen:
                     seen.add(h)
                     parents[h] = (v, e)
                     queue.append(h)
@@ -253,12 +259,19 @@ def find_dependent_pair(net: Network) -> tuple[int, int] | None:
     return None
 
 
+def _remembered(net: Network, key: str, compute):
+    """compute(net), kept on the network under key; a network never changes."""
+    if key not in net.__dict__:
+        net.__dict__[key] = compute(net)
+    return net.__dict__[key]
+
+
 def contract_network(net: Network) -> tuple[Network, ContractionMap]:
     """Contract away dependent pairs; zero queries, structure only."""
     original = net
     steps: list[ContractionStep] = []
     while True:
-        pair = find_dependent_pair(net)
+        pair = _remembered(net, "_dependent_pair", find_dependent_pair)
         if pair is None:
             break
         absorber, removed = pair
@@ -406,12 +419,12 @@ def choose_p1_p3(
         p1, connector = _reroute_along(p1, q, qq)
         p3 = stem + (prev,) + connector
     elif kv == net.origin:
-        r1, r2 = _disjoint_or_fail(net, kv, v) if kv != v else ((), ())
+        r1, r2 = _disjoint_or_fail(net, kv, v)
         p1, p3 = r2, r1
     elif len(net.in_edges[kv]) >= 2:
         g2 = p2[-1]
         g1 = min(e for e in net.in_edges[kv] if e != g2)
-        r1, r2 = _disjoint_or_fail(net, kv, v) if kv != v else ((), ())
+        r1, r2 = _disjoint_or_fail(net, kv, v)
         stem = net.least_path(net.origin, net.edges[g1][0])
         if stem is None:  # pragma: no cover - tails are always reachable
             raise PathSelectionFailed(f"no origin path to edge {g1}")
@@ -448,16 +461,17 @@ def _query_and_extract(
     one_path: Path,
     many_path: Path,
     many_load: int,
+    pattern: Sequence[tuple[int, bool]] = (),
 ) -> None:
     """Issue one query and peel the target edge's cost out of the response.
 
     ``one_path`` carries a single player and contains the target edge; every
     other edge on it must already be priced at the load it ends up carrying.
+    ``pattern`` pairs edges with whether they must carry ``target_load``
+    (the later bridges of a bridge query) or else one player.
     """
-    net.validate_path(one_path)
     assignment: dict[Path, int] = {one_path: 1}
     if many_load:
-        net.validate_path(many_path)
         if many_path == one_path:
             assignment = {one_path: 1 + many_load}
         else:
@@ -467,6 +481,11 @@ def _query_and_extract(
         raise AlgorithmInvariantViolated(
             f"edge {target} carries {loads[target]}, expected {target_load}"
         )
+    for e, later in pattern:
+        if loads[e] != (target_load if later else 1):
+            raise AlgorithmInvariantViolated(
+                f"bridge query load pattern broken at edge {e}"
+            )
     known = _ZERO
     for e in one_path:
         if e == target:
@@ -533,17 +552,35 @@ def learn_one_player(oracle, net: Network | None = None) -> PartialCostFunction:
 def learn_level(
     oracle, net: Network, f: PartialCostFunction, level: int
 ) -> PartialCostFunction:
-    """Extend f from loads <= level to loads <= level + 1 in |E| queries.
-
-    For each vertex kv along the topology, the kv-bridges are priced first
-    (in reverse bridge order, so each query's later bridges are known), then
-    the remaining in-edges of kv.  Values discovered once are never queried
-    again.
-    """
+    """Extend f from loads <= level to loads <= level + 1 in |E| queries."""
     if not 1 <= level < oracle.players:
         raise InvalidSpec(f"level must be in 1..n-1, got {level}")
-    before = oracle.ledger.count
     new_load = level + 1
+    if any(f.is_defined(e, new_load) for e in net.edges):
+        raise AlgorithmInvariantViolated(f"load {new_load} is already partly learned")
+    before = oracle.ledger.count
+    plan = _remembered(net, "_level_plan", _plan_level)
+    for target, one_path, many_path, pattern in plan:
+        _query_and_extract(
+            oracle, net, f, target, new_load, one_path, many_path, level, pattern
+        )
+    used = oracle.ledger.count - before
+    if used != len(net.edges):
+        raise AlgorithmInvariantViolated(
+            f"level {level} used {used} queries, expected {len(net.edges)}"
+        )
+    return f
+
+
+def _plan_level(net: Network) -> tuple[tuple, ...]:
+    """The |E| queries every level asks: (target, one path, many path, pattern).
+
+    For each vertex kv along the topology, the kv-bridges are targeted first
+    (in reverse bridge order, so each query's later bridges are known), then
+    the remaining in-edges of kv; each edge is targeted once.
+    """
+    plan: list[tuple] = []
+    planned: set[int] = set()
     for kv in net.topological_order():
         bridges = find_bridges(net, kv)
         p2 = net.least_path(net.origin, kv)
@@ -551,27 +588,19 @@ def learn_level(
             raise PathSelectionFailed(f"vertex {kv} unreachable from the origin")
         for j in range(len(bridges) - 1, -1, -1):
             b = bridges[j]
-            if f.is_defined(b, new_load):
+            if b in planned:
                 continue
+            planned.add(b)
             p4, p5 = choose_p4_p5(net, bridges, j)
             p1, p3 = choose_p1_p3(net, kv, bridges, j, p2)
             later = set(bridges[j + 1 :])
-            one_path = p1 + (b,) + p4
-            many_path = p2 + p3 + (b,) + p5
-            loads = edge_loads(net, _merge(one_path, 1, many_path, level))
-            for e in p4:
-                want = new_load if e in later else 1
-                if loads[e] != want:
-                    raise AlgorithmInvariantViolated(
-                        f"bridge query load pattern broken at edge {e}"
-                    )
-            _query_and_extract(
-                oracle, net, f, b, new_load, one_path, many_path, level
-            )
+            pattern = tuple((e, e in later) for e in p4)
+            plan.append((b, p1 + (b,) + p4, p2 + p3 + (b,) + p5, pattern))
         in_kit: tuple[Path, Path] | None = None
         for e in net.in_edges[kv]:
-            if f.is_defined(e, new_load):
+            if e in planned:
                 continue
+            planned.add(e)
             if in_kit is None:
                 in_kit = _two_paths_through_bridges(net, kv, bridges)
             pa, pb = in_kit
@@ -582,42 +611,22 @@ def learn_level(
                 raise AlgorithmInvariantViolated(
                     "in-edge query paths overlap unexpectedly"
                 )
-            _query_and_extract(
-                oracle,
-                net,
-                f,
-                e,
-                new_load,
-                stem + (e,) + pa,
-                stem + (e,) + pb,
-                level,
-            )
-    used = oracle.ledger.count - before
-    if used != len(net.edges):
+            plan.append((e, stem + (e,) + pa, stem + (e,) + pb, ()))
+    if len(plan) != len(net.edges):
         raise AlgorithmInvariantViolated(
-            f"level {level} used {used} queries, expected {len(net.edges)}"
+            f"level plan has {len(plan)} queries, expected {len(net.edges)}"
         )
-    return f
-
-
-def _merge(path_a: Path, count_a: int, path_b: Path, count_b: int) -> dict[Path, int]:
-    if path_a == path_b:
-        return {path_a: count_a + count_b}
-    return {path_a: count_a, path_b: count_b}
+    return tuple(plan)
 
 
 def _two_paths_through_bridges(
     net: Network, kv: int, bridges: Sequence[int]
 ) -> tuple[Path, Path]:
     """Two kv->destination paths whose shared edges are exactly the kv-bridges."""
-    if kv == net.destination:
-        return (), ()
     if not bridges:
         return _disjoint_or_fail(net, kv, net.destination)
     first_tail = net.edges[bridges[0]][0]
-    r1, r2 = (
-        _disjoint_or_fail(net, kv, first_tail) if kv != first_tail else ((), ())
-    )
+    r1, r2 = _disjoint_or_fail(net, kv, first_tail)
     p4, p5 = choose_p4_p5(net, bridges, 0)
     pa = r1 + (bridges[0],) + p4
     pb = r2 + (bridges[0],) + p5
@@ -634,7 +643,7 @@ def learn_costs(oracle, net: Network | None = None) -> PartialCostFunction:
     """
     if net is None:
         net = oracle.network
-    if find_dependent_pair(net) is not None:
+    if _remembered(net, "_dependent_pair", find_dependent_pair) is not None:
         raise InvalidSpec("network still contains a dependent edge pair")
     f = learn_one_player(oracle, net)
     for level in range(1, oracle.players):
@@ -648,45 +657,32 @@ def learn_costs(oracle, net: Network | None = None) -> PartialCostFunction:
 # Solving the learned game.
 
 
-def _rosenthal(f: PartialCostFunction, loads: Mapping[int, int]) -> Fraction:
-    return sum(
-        (f.value(e, j) for e, load in loads.items() for j in range(1, load + 1)),
-        _ZERO,
-    )
-
-
 def _best_response(
-    f: PartialCostFunction,
-    net: Network,
-    loads: Mapping[int, int],
-    current_path: Path,
+    f: PartialCostFunction, net: Network, loads: Mapping[int, int], current_path: Path
 ) -> tuple[Path, Fraction]:
-    """Cheapest o-d path for one player currently on current_path.
+    """Lexicographically least cheapest o-d path for a player on current_path.
 
     Edge weights are the learned costs at the load the edge would carry
-    after the move; a DAG relaxation in topological order handles arbitrary
-    (possibly non-monotone-looking) learned values.
+    after the move.  Costs to the destination are relaxed backwards along
+    the topology, then the path takes the lowest edge id that stays cheapest.
     """
     on_path = set(current_path)
-    dist: dict[int, Fraction | None] = {v: None for v in net.vertices}
-    best_in: dict[int, Path] = {net.origin: ()}
-    dist[net.origin] = _ZERO
-    for v in net.topological_order():
-        if dist[v] is None:
-            continue
+    weight = {e: f.value(e, load + (e not in on_path)) for e, load in loads.items()}
+    togo: dict[int, Fraction] = {net.destination: _ZERO}
+    for v in reversed(net.topological_order()):
         for e in net.out_edges[v]:
-            h = net.edges[e][1]
-            weight = f.value(e, loads[e] + (0 if e in on_path else 1))
-            cand = dist[v] + weight
-            if dist[h] is None or cand < dist[h] or (
-                cand == dist[h] and best_in[v] + (e,) < best_in[h]
-            ):
-                dist[h] = cand
-                best_in[h] = best_in[v] + (e,)
-    d = net.destination
-    if dist[d] is None:  # pragma: no cover - destination always reachable
-        raise PathSelectionFailed("destination unreachable")
-    return best_in[d], dist[d]
+            cand = weight[e] + togo[net.edges[e][1]]
+            if v not in togo or cand < togo[v]:
+                togo[v] = cand
+    path: list[int] = []
+    v = net.origin
+    while v != net.destination:
+        e = next(
+            e for e in net.out_edges[v] if weight[e] + togo[net.edges[e][1]] == togo[v]
+        )
+        path.append(e)
+        v = net.edges[e][1]
+    return tuple(path), togo[net.origin]
 
 
 def solve_learned_game(
@@ -696,15 +692,14 @@ def solve_learned_game(
 
     Players start stacked on the lexicographically least path; single
     players move to a cheapest alternative while one exists.  Each strict
-    improvement lowers the Rosenthal potential, which guarantees (and
-    guards) termination.
+    improvement lowers the Rosenthal potential by exactly the mover's saving
+    (updated on the edges the move changes), which guards termination.
     """
     start = net.least_path(net.origin, net.destination)
     if start is None:  # pragma: no cover - validated network
         raise PathSelectionFailed("no origin-destination path")
     profile: dict[Path, int] = {start: players}
     loads = edge_loads(net, profile)
-    potential = _rosenthal(f, loads)
     while True:
         for path in sorted(p for p, c in profile.items() if c > 0):
             current = sum((f.value(e, loads[e]) for e in path), _ZERO)
@@ -712,14 +707,18 @@ def solve_learned_game(
             if best_cost < current and best_path != path:
                 profile[path] -= 1
                 profile[best_path] = profile.get(best_path, 0) + 1
-                loads = edge_loads(net, profile)
-                new_potential = _rosenthal(f, loads)
-                if new_potential >= potential:
+                left, joined = set(path), set(best_path)
+                change = _ZERO
+                for e in left - joined:
+                    change -= f.value(e, loads[e])
+                    loads[e] -= 1
+                for e in joined - left:
+                    loads[e] += 1
+                    change += f.value(e, loads[e])
+                if change != best_cost - current or change >= 0:
                     raise PotentialNotDecreasing(
-                        "improving move did not lower the potential; "
-                        "the learned cost function is inconsistent"
+                        "a move did not lower the potential by the mover's saving"
                     )
-                potential = new_potential
                 break
         else:
             return {p: c for p, c in profile.items() if c > 0}

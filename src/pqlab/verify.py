@@ -8,6 +8,7 @@ Enumeration caps can be overridden with the PQLAB_CAP environment variable.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -56,29 +57,25 @@ def _path_cost(game: CongestionGame, path: Path, loads: Mapping[int, int]) -> Fr
 
 
 def deviation_report(game: CongestionGame, profile: Mapping[Path, int]) -> DeviationReport:
-    """Best unilateral deviation over all players of a congestion profile."""
+    """Best unilateral deviation over all players of a congestion profile.
+
+    For each used path, one relaxation over the DAG finds the cheapest
+    alternative at the loads after the move; ties go to the
+    lexicographically least path, the first in enumerate_paths order.
+    """
     from .games import edge_loads, validate_profile
 
     validate_profile(game, profile)
     loads = edge_loads(game, profile)
-    paths = enumerate_paths(game)
     best = _ZERO
     worst_path = worst_alt = None
     for path, count in sorted(profile.items()):
         if count == 0:
             continue
-        current = _path_cost(game, path, loads)
-        on_path = set(path)
-        for alt in paths:
-            if alt == path:
-                continue
-            moved = sum(
-                (game.cost[e][loads[e] + (0 if e in on_path else 1)] for e in alt),
-                _ZERO,
-            )
-            gain = current - moved
-            if gain > best:
-                best, worst_path, worst_alt = gain, path, alt
+        alt, moved = _cheapest_move(game, path, loads)
+        gain = _path_cost(game, path, loads) - moved
+        if gain > best:
+            best, worst_path, worst_alt = gain, path, alt
     return DeviationReport(
         profile=tuple(sorted(profile.items())),
         worst_path=worst_path,
@@ -87,14 +84,49 @@ def deviation_report(game: CongestionGame, profile: Mapping[Path, int]) -> Devia
     )
 
 
+def _cheapest_move(
+    game: CongestionGame, path: Path, loads: Mapping[int, int]
+) -> tuple[Path, Fraction]:
+    """Lexicographically least cheapest o-d path for one player leaving path.
+
+    Each edge is priced at the load it carries with the player on it.  Costs
+    to the destination are computed backwards along a topological order;
+    the path then takes, at each vertex, the lowest edge id that stays
+    cheapest.  The path itself may come out, at its own cost, when no
+    alternative is cheaper.
+    """
+    net = game.network
+    on_path = set(path)
+    price = {
+        e: game.cost[e][load + (0 if e in on_path else 1)] for e, load in loads.items()
+    }
+    togo: dict[int, Fraction] = {net.destination: _ZERO}
+    for v in reversed(net.topological_order()):
+        for e in net.out_edges[v]:
+            cand = price[e] + togo[net.edges[e][1]]
+            if v not in togo or cand < togo[v]:
+                togo[v] = cand
+    best: list[int] = []
+    v = net.origin
+    while v != net.destination:
+        e = min(
+            e for e in net.out_edges[v] if price[e] + togo[net.edges[e][1]] == togo[v]
+        )
+        best.append(e)
+        v = net.edges[e][1]
+    return tuple(best), togo[net.origin]
+
+
 def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
     """Every anonymous profile (multiset of n paths); guarded by the cap."""
     paths = enumerate_paths(game)
     n = game.players
     limit = cap if cap is not None else _cap()
-    if len(paths) ** n > limit:
+    count = math.comb(len(paths) + n - 1, n)
+    if count > limit:
         raise TooLarge(
-            f"{len(paths)}^{n} profiles exceed the cap of {limit}"
+            f"{count} anonymous profiles ({len(paths)} paths, {n} players) "
+            f"exceed the cap of {limit}"
         )
     profiles = []
     for combo in itertools.combinations_with_replacement(paths, n):

@@ -1,16 +1,22 @@
 """Contraction, bridge machinery, the cost-function learner, and the solver."""
 
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
 
 from pqlab import (
+    AlgorithmInvariantViolated,
     CongestionGame,
     CongestionOracle,
+    InvalidProfile,
     InvalidSpec,
     Network,
+    PotentialNotDecreasing,
     enumerate_paths,
 )
+from pqlab import dag_learner
 from pqlab.dag_learner import (
     ContractedOracle,
     contract_network,
@@ -386,3 +392,179 @@ class TestBridgeGeometry:
         result = solve_dag_game(oracle)
         assert deviation_report(game, result.profile).is_equilibrium
         assert result.queries_used == 5 * 3
+
+
+# sha256 of the query transcript (QueryLedger.dump_jsonl) and of the sorted
+# equilibrium profile of solve_dag_game, per gen_random_dag(v, e, n, seed,
+# subdivide).  Recorded from the learner that planned every level afresh and
+# recomputed the whole potential after each move; the level plan and the
+# incremental potential must reproduce them exactly.
+PINNED = {
+    (6, 10, 3, 0, 0): (
+        "ec1ca26a0ef940d1ccc14983cb0201a8907323e743728bd4c97032d8b4d1ab77",
+        "521abb6f745d1800c7859fab71098a40a1f8be414673bddfb5b38456c4b19533",
+    ),
+    (6, 10, 3, 1, 0): (
+        "e71dcfecdb8e3232837aa39c269a7b74a112355bcf6356beeef00f8f3ef1e17f",
+        "5e761c727002bbdbd4954b492625a2b2b47d9ab408e61f86addc0efc50e9aff1",
+    ),
+    (6, 10, 3, 2, 0): (
+        "e2c48abddb5becead8976d2efda21caf34ff29c22bb391c826c5865337bc69b9",
+        "5421cb63d82539c159d1d14d2eaec4a14dadac4315b0ac9978521e407d68e178",
+    ),
+    (6, 10, 3, 3, 0): (
+        "98dceb2b561f8db6ae2f30195db3218a0a0d435b44e0421a6c5e434a551b7fe3",
+        "e63a99890cd551c0f664ea35608df233ef386f8782ea7563254d23ba3d5fe879",
+    ),
+    (6, 10, 3, 4, 0): (
+        "6915cce4962bd50d30ec9d1aa26027e21b75118c10af0f7a7f5a06f5348f6686",
+        "624bef26bd0c5cb2e94f2e2e58e24925114be76b3f02e401e3e97d421ec85c93",
+    ),
+    (6, 10, 3, 5, 0): (
+        "c742ec7d91a78f779fb6eb166a64a398c0bd51546a1af4ce87c15eca31bf710c",
+        "69d5f69081cbe4074e371957443eff8215b1de6cce75abca294bf9cab5e29789",
+    ),
+    (6, 10, 3, 6, 0): (
+        "50510e6e1400add5d8d725f83cb77311441d71c3a16211533d896e65e4e682f6",
+        "b7e7fafdab84a48a5880504e114114b3ac5b4a2d6fbe73d919963ce53684248e",
+    ),
+    (6, 10, 3, 7, 0): (
+        "91b4b003da4b3bca37106cad98cfdb434870b71b52338bc9fd3689ababe0f717",
+        "0ee78e355c3ac9529bf45f1f57e4f1e64f4deab30b1960854207c03541063362",
+    ),
+    (7, 12, 60, 0, 2): (
+        "7e0b006dfe0f6a8926679a430af374d663ef2cac1e23278e8f01253e33938983",
+        "c3c8c0036785eb38b970ea64422472a5ae82cde72bd384d8a8b4caff9cf76ba9",
+    ),
+}
+
+
+def transcript(oracle) -> str:
+    buf = io.StringIO()
+    oracle.ledger.dump_jsonl(buf)
+    return buf.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestLevelPlanAndDescent:
+    @pytest.mark.parametrize("cell", sorted(PINNED))
+    def test_transcript_and_equilibrium_pinned(self, cell):
+        v, e, n, seed, subdivide = cell
+        oracle = CongestionOracle(gen_random_dag(v, e, n, seed, subdivide=subdivide))
+        result = solve_dag_game(oracle)
+        profile = repr(sorted(result.profile.items()))
+        assert (sha256(transcript(oracle)), sha256(profile)) == PINNED[cell]
+
+    def test_plan_targets_every_edge_once(self):
+        for seed in range(20):
+            net, _ = contract_network(gen_random_dag(7, 12, 2, seed).network)
+            plan = dag_learner._plan_level(net)
+            assert len(plan) == len(net.edges)
+            assert sorted(target for target, *_ in plan) == sorted(net.edges)
+            for target, one_path, many_path, _ in plan:
+                assert target in one_path
+                net.validate_path(one_path)
+                net.validate_path(many_path)
+
+    def test_plan_builds_bridges_once_per_vertex(self, monkeypatch):
+        calls = []
+        real = dag_learner.find_bridges
+        monkeypatch.setattr(
+            dag_learner,
+            "find_bridges",
+            lambda net, kv: calls.append(kv) or real(net, kv),
+        )
+        game = gen_random_dag(7, 12, 4, seed=3)
+        result = solve_dag_game(CongestionOracle(game))
+        assert sorted(calls) == sorted(result.contraction.reduced.vertices)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_learn_costs_matches_level_by_level(self, seed):
+        game = gen_random_dag(6, 10, 4, seed, subdivide=1)
+        net, cmap = contract_network(game.network)
+        whole = CongestionOracle(game)
+        f_whole = learn_costs(ContractedOracle(whole, cmap), net)
+        # A fresh copy of the network, so nothing built for the first run
+        # is reused by the second.
+        copy = gen_random_dag(6, 10, 4, seed, subdivide=1)
+        net2, cmap2 = contract_network(copy.network)
+        steps = CongestionOracle(game)
+        view = ContractedOracle(steps, cmap2)
+        f_steps = learn_one_player(view, net2)
+        for level in range(1, game.players):
+            learn_level(view, net2, f_steps, level)
+        assert f_steps.snapshot() == f_whole.snapshot()
+        assert transcript(steps) == transcript(whole)
+
+    def test_level_cannot_be_learned_twice(self):
+        game = diamond(players=3)
+        oracle = CongestionOracle(game)
+        f = learn_one_player(oracle)
+        learn_level(oracle, game.network, f, 1)
+        before = oracle.ledger.count
+        with pytest.raises(AlgorithmInvariantViolated):
+            learn_level(oracle, game.network, f, 1)
+        assert oracle.ledger.count == before
+
+    def test_under_reported_best_response_is_caught(self, monkeypatch):
+        # Both players start on link 0 (cost 3); link 1 (cost 2) is a real
+        # improvement, so the first move happens and its saving is checked.
+        game = CongestionGame(
+            Network((0, 1), {0: (0, 1), 1: (0, 1)}, 0, 1),
+            2,
+            {0: [0, 1, 3], 1: [0, 2, 2]},
+        )
+        f = learn_costs(CongestionOracle(game))
+        assert solve_learned_game(f, game.network, 2) == {(0,): 1, (1,): 1}
+        real = dag_learner._best_response
+
+        def under_reported(*args):
+            path, cost = real(*args)
+            return path, cost - Fraction(1, 2)
+
+        monkeypatch.setattr(dag_learner, "_best_response", under_reported)
+        with pytest.raises(PotentialNotDecreasing):
+            solve_learned_game(f, game.network, game.players)
+
+    def test_learn_costs_rejects_dependent_pair(self):
+        game = chain_game(2)
+        oracle = CongestionOracle(game)
+        with pytest.raises(InvalidSpec):
+            learn_costs(oracle)
+        assert oracle.ledger.count == 0
+
+    def test_dependent_pair_search_runs_once_per_network(self, monkeypatch):
+        searched = []
+        real = dag_learner.find_dependent_pair
+        monkeypatch.setattr(
+            dag_learner,
+            "find_dependent_pair",
+            lambda net: searched.append(net) or real(net),
+        )
+        game = gen_random_dag(6, 9, 2, seed=0, subdivide=3)
+        result = solve_dag_game(CongestionOracle(game))
+        assert len(searched) == len(result.contraction.steps) + 1
+        assert all(a is not b for a, b in zip(searched, searched[1:]))
+
+
+class TestContractionMapping:
+    def test_mapping_is_remembered_and_unchanged(self):
+        game = gen_random_dag(7, 12, 2, seed=0, subdivide=2)
+        reduced, cmap = preprocess_contract(game)
+        fresh = preprocess_contract(game)[1]
+        for path in enumerate_paths(reduced):
+            first = cmap.map_path_back(path)
+            assert cmap.map_path_back(path) is first
+            assert fresh.map_path_back(path) == first
+            game.network.validate_path(first)
+
+    def test_invalid_path_raises_every_time(self):
+        game = gen_random_dag(7, 12, 2, seed=0, subdivide=2)
+        reduced, cmap = preprocess_contract(game)
+        bad = enumerate_paths(reduced)[0][:-1]
+        for _ in range(2):
+            with pytest.raises((InvalidProfile, AlgorithmInvariantViolated)):
+                cmap.map_path_back(bad)

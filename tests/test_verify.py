@@ -1,13 +1,23 @@
 """The independent ground-truth oracles themselves."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from pqlab import MixedProfile, TooLarge, parallel_links_game, regret
-from pqlab.games import link_tables
+from pqlab import (
+    CongestionOracle,
+    MixedProfile,
+    TooLarge,
+    parallel_links_game,
+    regret,
+    solve_dag_game,
+)
+from pqlab.games import edge_loads, enumerate_paths, link_tables
 from pqlab.instances import gen_matching_pennies, gen_random_bimatrix, gen_random_dag
 from pqlab.verify import (
+    all_profiles,
     brute_force_pure_ne,
     check_equivalence,
     deviation_report,
@@ -58,6 +68,24 @@ class TestBruteForce:
         game = diamond(players=3)
         with pytest.raises(TooLarge):
             brute_force_pure_ne(game, cap=10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cap_counts_anonymous_profiles_exactly(self, seed):
+        game = gen_random_dag(5, 8, 3, seed)
+        paths = len(enumerate_paths(game))
+        count = math.comb(paths + game.players - 1, game.players)
+        assert len(all_profiles(game, cap=count)) == count
+        with pytest.raises(TooLarge):
+            all_profiles(game, cap=count - 1)
+
+    def test_default_cap_admits_a_quarter_million_profiles(self):
+        from pqlab.cli import make_game
+
+        # 48 paths and 4 players: 48^4 = 5,308,416 ordered profiles but
+        # only C(51, 4) = 249,900 anonymous ones, under the default 10^6.
+        game = make_game("random-dag:v=10,e=24,n=4,seed=1")
+        assert len(enumerate_paths(game)) == 48
+        assert len(all_profiles(game)) == 249_900
 
 
 class TestGreedy:
@@ -170,3 +198,50 @@ def test_cap_env_override(monkeypatch):
         brute_force_pure_ne(game)
     monkeypatch.setenv("PQLAB_CAP", "1000000")
     assert brute_force_pure_ne(game)
+
+
+def _reference_report(game, profile):
+    """Every used path against every o-d path, first best in path order."""
+    loads = edge_loads(game, profile)
+    best, worst_path, worst_alt = Fraction(0), None, None
+    for path, count in sorted(profile.items()):
+        if count == 0:
+            continue
+        current = sum(game.cost[e][loads[e]] for e in path)
+        for alt in enumerate_paths(game):
+            if alt == path:
+                continue
+            moved = sum(game.cost[e][loads[e] + (e not in path)] for e in alt)
+            if current - moved > best:
+                best, worst_path, worst_alt = current - moved, path, alt
+    return best, worst_path, worst_alt
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deviation_report_matches_path_enumeration(seed):
+    rng = random.Random(seed)
+    game = gen_random_dag(7, 12, 4, seed, subdivide=seed % 3)
+    paths = enumerate_paths(game)
+    # An equilibrium found by the solver, then random profiles.
+    profiles = [solve_dag_game(CongestionOracle(game)).profile]
+    for _ in range(15):
+        profile = {}
+        for path in rng.choices(paths, k=game.players):
+            profile[path] = profile.get(path, 0) + 1
+        profiles.append(profile)
+    reports = [deviation_report(game, profile) for profile in profiles]
+    for profile, report in zip(profiles, reports):
+        assert (
+            report.improvement, report.worst_path, report.worst_alternative
+        ) == _reference_report(game, profile)
+    assert reports[0].is_equilibrium
+    assert not all(report.is_equilibrium for report in reports)
+
+
+def test_deviation_report_breaks_ties_to_least_path():
+    # Three parallel links at equal cost: the first cheaper alternative in
+    # path order is named, not a later one at the same price.
+    game = parallel_links_game([[0, 1, 5], [0, 1, 1], [0, 1, 1]], 2)
+    report = deviation_report(game, {(0,): 2})
+    assert report.improvement == 4
+    assert (report.worst_path, report.worst_alternative) == ((0,), (1,))
