@@ -166,16 +166,15 @@ class GraphicalGame:
             (q, p) for p, nbrs in enumerate(self.in_neighbors) for q in nbrs
         )
 
-    def _check_profile(self, profile: Sequence[int]) -> None:
-        if len(profile) != self.players or any(
-            not 0 <= s < self.strategies for s in profile
-        ):
-            raise InvalidProfile(f"profile {tuple(profile)} malformed for this game")
-
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
-        self._check_profile(profile)
-        ctx = tuple(profile[q] for q in self.in_neighbors[player])
-        return self.payoff_tables[player][(profile[player], ctx)]
+        # The table's keys are exactly the in-range (own, ctx) pairs, so the
+        # lookup checks every entry this payoff reads; `payoffs` reads them all.
+        if len(profile) == self.players:
+            ctx = tuple(profile[q] for q in self.in_neighbors[player])
+            value = self.payoff_tables[player].get((profile[player], ctx))
+            if value is not None:
+                return value
+        raise InvalidProfile(f"profile {tuple(profile)} malformed for this game")
 
     def payoffs(self, profile: Sequence[int]) -> tuple[Fraction, ...]:
         return tuple(self.payoff(p, profile) for p in range(self.players))
@@ -567,9 +566,6 @@ def strategy_costs(
     """
     loads = edge_loads(game, assignment)
     n = game.players
-    for path, count in assignment.items():
-        if count > n:
-            raise LoadOutOfRange(f"load {count} on {path} exceeds n={n}")
     for e, load in loads.items():
         if load > n:
             raise LoadOutOfRange(f"edge {e} carries {load} players, above n={n}")

@@ -64,22 +64,18 @@ def learn_graphical(
         s: oracle.query_pure(s) for s in probes
     }
 
-    # Witness-based edge discovery: group probes by the deviating player's
-    # context, then compare each other player's payoffs inside a group.
+    # Witness-based edge discovery: compare each probe with its parent, the
+    # probe with deviator q reset to the anchor.  Probes differing only in q
+    # share that parent, so if they disagree on p's payoff, one of them
+    # disagrees with the parent.
     edges: set[tuple[int, int]] = set()
-    by_context: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
-    for s in probes:
+    for s, payoffs in responses.items():
         for q in range(n):
-            ctx = s[:q] + s[q + 1 :]
-            by_context.setdefault((q, ctx), []).append(s)
-    for (q, _), group in by_context.items():
-        if len(group) < 2:
-            continue
-        base = responses[group[0]]
-        for s in group[1:]:
-            other = responses[s]
+            if s[q] == 0:
+                continue
+            base = responses[s[:q] + (0,) + s[q + 1 :]]
             for p in range(n):
-                if p != q and other[p] != base[p]:
+                if p != q and payoffs[p] != base[p]:
                     edges.add((q, p))
 
     in_neighbors = tuple(

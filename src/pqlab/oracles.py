@@ -55,6 +55,14 @@ class _Budgeted:
             raise BudgetExhausted(f"query budget of {self._max_queries} exhausted")
         self.ledger.record(query, response)
 
+    def _charge_loads(
+        self, assignment: Mapping[Path, int], response: Mapping[Path, Fraction]
+    ) -> None:
+        self._charge(
+            {"loads": [[list(p), c] for p, c in sorted(assignment.items())]},
+            {str(list(p)): str(v) for p, v in sorted(response.items())},
+        )
+
 
 class PurePayoffOracle(_Budgeted):
     """Pure-profile payoff oracle for a hidden bimatrix or graphical game.
@@ -118,10 +126,7 @@ class CongestionOracle(_Budgeted):
                     f"load {count} on {path} outside 0..{self.players}"
                 )
         response = strategy_costs(self._game, assignment)
-        self._charge(
-            {"loads": [[list(p), c] for p, c in sorted(assignment.items())]},
-            {str(list(p)): str(v) for p, v in sorted(response.items())},
-        )
+        self._charge_loads(assignment, response)
         return response
 
 
@@ -220,10 +225,7 @@ class AdversaryLinkOracle(_Budgeted):
             response[(0,)] = c_step
         if (1,) in assignment:
             response[(1,)] = c_const
-        self._charge(
-            {"loads": [[list(p), c] for p, c in sorted(assignment.items())]},
-            {str(list(p)): str(v) for p, v in sorted(response.items())},
-        )
+        self._charge_loads(assignment, response)
         self.completion_history.append(len(consistent_completions(self.state)))
         return response
 

@@ -11,6 +11,7 @@ from pqlab import (
     AdversaryState,
     BudgetExhausted,
     CongestionOracle,
+    GraphicalGame,
     InvalidProfile,
     LoadOutOfRange,
     PurePayoffOracle,
@@ -47,6 +48,42 @@ class TestPurePayoffOracle:
         with pytest.raises(InvalidProfile):
             oracle.query_pure((0, 5))
         assert oracle.ledger.count == 0
+
+    def test_graphical_malformed_profile_not_counted(self):
+        # Players 0 and 1 read each other; player 2 reads and affects no one,
+        # so only its own payoff looks at position 2.
+        k = 3
+        tables = (
+            {(own, (s,)): F(own + s, 8) for own in range(k) for s in range(k)},
+            {(own, (s,)): F(own * s, 8) for own in range(k) for s in range(k)},
+            {(own, ()): F(own, 4) for own in range(k)},
+        )
+        game = GraphicalGame(3, k, ((1,), (0,), ()), tables)
+        oracle = PurePayoffOracle(game)
+        bad = [(1, 1), (1, 1, 1, 1), ()]
+        for i in range(3):
+            for value in (-1, k):
+                profile = [1, 1, 1]
+                profile[i] = value
+                bad.append(tuple(profile))
+        for profile in bad:
+            with pytest.raises(InvalidProfile):
+                oracle.query_pure(profile)
+            with pytest.raises(InvalidProfile):
+                game.payoffs(profile)
+        assert oracle.ledger.count == 0
+        assert oracle.query_pure((2, 2, 2)) == (F(1, 2), F(1, 2), F(1, 2))
+
+    def test_graphical_payoff_rejects_out_of_range_neighbor(self):
+        game = gen_random_graphical(3, 2, 1, seed=9)
+        p = next(p for p, nbrs in enumerate(game.in_neighbors) if nbrs)
+        for value in (-1, 2):
+            profile = [0, 0, 0]
+            profile[game.in_neighbors[p][0]] = value
+            with pytest.raises(InvalidProfile):
+                game.payoff(p, profile)
+        with pytest.raises(InvalidProfile):
+            game.payoff(p, (0, 0))
 
     def test_budget_enforced(self):
         oracle = PurePayoffOracle(gen_matching_pennies(2), max_queries=1)
