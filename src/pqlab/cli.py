@@ -18,7 +18,7 @@ from . import bimatrix as bm
 from . import dag_learner as dag
 from . import graphical as gg
 from . import instances, parallel_links, serialize, verify
-from .errors import BudgetExhausted, PqlabError
+from .errors import BudgetExhausted, InvalidProfile, PqlabError
 from .games import (
     BimatrixGame,
     CongestionGame,
@@ -27,7 +27,6 @@ from .games import (
     enumerate_paths,
     link_tables,
     regret,
-    validate_profile,
 )
 from .oracles import AdversaryLinkOracle, CongestionOracle, PurePayoffOracle
 
@@ -234,10 +233,9 @@ def _cmd_learn_dag(args) -> int:
     if not isinstance(game, CongestionGame):
         raise ValueError("learn dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
-    reduced_net, cmap = dag.contract_network(oracle.network)
+    reduced_game, cmap = dag.preprocess_contract(game)
     view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    learned = dag.learn_costs(view, reduced_net)
-    reduced_game, _ = dag.preprocess_contract(game)
+    learned = dag.learn_costs(view, cmap.reduced)
     equivalent, counterexample = verify.check_equivalence(
         learned.as_tables(), reduced_game.cost, reduced_game, game.players,
         mode=args.verify_mode,
@@ -267,8 +265,8 @@ def _cmd_verify(args) -> int:
     with open(args.profile) as fp:
         profile = serialize.profile_from_dict(json.load(fp))
     if isinstance(game, CongestionGame):
-        assert isinstance(profile, dict)
-        validate_profile(game, profile)
+        if not isinstance(profile, dict):
+            raise InvalidProfile("a congestion game needs a congestion profile")
         report = verify.deviation_report(game, profile)
         payload = {
             "is_equilibrium": report.is_equilibrium,
@@ -282,12 +280,14 @@ def _cmd_verify(args) -> int:
     elif isinstance(game, BimatrixGame):
         if isinstance(profile, tuple):
             profile = MixedProfile.pure(profile[0], profile[1], game.rows, game.cols)
-        assert isinstance(profile, MixedProfile)
+        if not isinstance(profile, MixedProfile):
+            raise InvalidProfile("a bimatrix game needs a pure or mixed profile")
         eps = regret(game, profile)
         payload = {"regret": str(eps), "is_equilibrium": eps == 0}
         ok = eps == 0
     else:
-        assert isinstance(game, GraphicalGame) and isinstance(profile, tuple)
+        if not isinstance(profile, tuple):
+            raise InvalidProfile("a graphical game needs a pure profile")
         base = game.payoffs(profile)
         worst = Fraction(0)
         for p in range(game.players):

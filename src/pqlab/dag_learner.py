@@ -182,10 +182,13 @@ class ContractionMap:
     def map_path_back(self, path: Path) -> Path:
         """Original o-d path realising a reduced path (contracted edges reinserted).
 
-        Each distinct path is mapped and validated once, then remembered.
+        Each distinct path is validated against the reduced network once,
+        then mapped and remembered.  A valid reduced path maps to a valid
+        original one: the reinserted chains continue it through a DAG.
         """
         if path in self._mapped:
             return self._mapped[path]
+        self.reduced.validate_path(path)
         out: list[int] = []
         at = self.original.origin
         for e in path:
@@ -197,7 +200,6 @@ class ContractionMap:
         if at != self.original.destination:
             out.extend(self._bridge(at, self.original.destination))
         result = tuple(out)
-        self.original.validate_path(result)
         self._mapped[path] = result
         return result
 
@@ -454,7 +456,6 @@ def choose_p1_p3(
 
 def _query_and_extract(
     oracle,
-    net: Network,
     f: PartialCostFunction,
     target: int,
     target_load: int,
@@ -468,7 +469,9 @@ def _query_and_extract(
     ``one_path`` carries a single player and contains the target edge; every
     other edge on it must already be priced at the load it ends up carrying.
     ``pattern`` pairs edges with whether they must carry ``target_load``
-    (the later bridges of a bridge query) or else one player.
+    (the later bridges of a bridge query) or else one player.  The oracle
+    validates the paths; an edge of ``one_path`` carries ``1 + many_load``
+    players if ``many_path`` shares it, and one player otherwise.
     """
     assignment: dict[Path, int] = {one_path: 1}
     if many_load:
@@ -476,7 +479,8 @@ def _query_and_extract(
             assignment = {one_path: 1 + many_load}
         else:
             assignment[many_path] = many_load
-    loads = edge_loads(net, assignment)
+    shared = set(many_path)
+    loads = {e: 1 + many_load if e in shared else 1 for e in one_path}
     if loads[target] != target_load:
         raise AlgorithmInvariantViolated(
             f"edge {target} carries {loads[target]}, expected {target_load}"
@@ -520,7 +524,7 @@ def learn_one_player(oracle, net: Network | None = None) -> PartialCostFunction:
         if kv == net.destination:
             for e in in_edges:
                 stem = net.least_path(net.origin, net.edges[e][0])
-                _query_and_extract(oracle, net, f, e, 1, stem + (e,), (), 0)
+                _query_and_extract(oracle, f, e, 1, stem + (e,), (), 0)
             continue
         continuation = net.least_path(kv, net.destination)
         if continuation is None:  # pragma: no cover - every vertex reaches d
@@ -562,7 +566,7 @@ def learn_level(
     plan = _remembered(net, "_level_plan", _plan_level)
     for target, one_path, many_path, pattern in plan:
         _query_and_extract(
-            oracle, net, f, target, new_load, one_path, many_path, level, pattern
+            oracle, f, target, new_load, one_path, many_path, level, pattern
         )
     used = oracle.ledger.count - before
     if used != len(net.edges):

@@ -575,18 +575,18 @@ def strategy_costs(
     }
 
 
-def validate_profile(game: CongestionGame, profile: Mapping[Path, int]) -> None:
-    """Check that profile is a multiset of o-d paths of total size n."""
-    total = 0
-    for path, count in profile.items():
-        game.network.validate_path(tuple(path))
-        if count < 0:
-            raise InvalidProfile(f"negative count {count} for path {path}")
-        total += count
+def validate_profile(game: CongestionGame, profile: Mapping[Path, int]) -> dict[int, int]:
+    """Check that profile is a multiset of o-d paths of total size n.
+
+    Returns the profile's edge loads, computed by the same single pass.
+    """
+    loads = edge_loads(game, profile)
+    total = sum(profile.values())
     if total != game.players:
         raise InvalidProfile(
             f"profile places {total} players, game has {game.players}"
         )
+    return loads
 
 
 def bimatrix_payoffs(

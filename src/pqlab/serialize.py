@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import InvalidSpec
+from .errors import InvalidProfile, InvalidSpec
 from .games import (
     BimatrixGame,
     CongestionGame,
@@ -82,6 +82,8 @@ def game_to_dict(game: BimatrixGame | GraphicalGame | CongestionGame) -> dict[st
 
 
 def game_from_dict(data: Mapping[str, Any]) -> BimatrixGame | GraphicalGame | CongestionGame:
+    if not isinstance(data, Mapping):
+        raise InvalidSpec(f"a game document is a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "bimatrix":
         return BimatrixGame(
@@ -151,10 +153,12 @@ def profile_from_dict(data: Mapping[str, Any]) -> object:
             [parse_rational(p) for p in data["col"]],
         )
     if kind == "congestion":
-        return {
-            tuple(entry["path"]): int(entry["count"])
-            for entry in data["assignment"]
-        }
+        profile = {}
+        for entry in data["assignment"]:
+            if not isinstance(entry["path"], list):
+                raise InvalidProfile(f"path {entry['path']!r} is not a list of edge ids")
+            profile[tuple(entry["path"])] = int(entry["count"])
+        return profile
     if kind == "pure":
         return tuple(int(s) for s in data["strategies"])
     raise InvalidSpec(f"unknown profile kind {kind!r}")

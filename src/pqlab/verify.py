@@ -63,10 +63,9 @@ def deviation_report(game: CongestionGame, profile: Mapping[Path, int]) -> Devia
     alternative at the loads after the move; ties go to the
     lexicographically least path, the first in enumerate_paths order.
     """
-    from .games import edge_loads, validate_profile
+    from .games import validate_profile
 
-    validate_profile(game, profile)
-    loads = edge_loads(game, profile)
+    loads = validate_profile(game, profile)
     best = _ZERO
     worst_path = worst_alt = None
     for path, count in sorted(profile.items()):

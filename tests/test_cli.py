@@ -98,6 +98,21 @@ class TestSolveAndLearnDag:
         edges = len(payload["cost_tables"])
         assert payload["queries_used"] == edges * 2
 
+    def test_learn_dag_contracts_once(self, tmp_path, monkeypatch):
+        from pqlab import dag_learner
+
+        calls = []
+        real = dag_learner.contract_network
+        monkeypatch.setattr(
+            dag_learner, "contract_network", lambda net: calls.append(net) or real(net)
+        )
+        code, payload = run(
+            tmp_path, "learn", "dag", "--gen", "random-dag:v=6,e=9,n=2,seed=0,subdivide=2",
+        )
+        assert code == EXIT_OK
+        assert payload["contracted_edges"]
+        assert len(calls) == 1
+
 
 class TestLearnGraphical:
     def test_learned_game_matches(self, tmp_path):
@@ -147,6 +162,36 @@ class TestVerifyCommand:
             ["verify", "--game", str(game_file), "--profile", str(profile_file)]
         )
         assert code == EXIT_VERIFY_FAILED
+
+
+    def _verify(self, tmp_path, game, profile):
+        game_file = tmp_path / "game.json"
+        profile_file = tmp_path / "profile.json"
+        if isinstance(game, str):
+            main(["gen", game, "--out", str(game_file)])
+        else:
+            game_file.write_text(json.dumps(game))
+        profile_file.write_text(json.dumps(profile))
+        return main(["verify", "--game", str(game_file), "--profile", str(profile_file)])
+
+    def test_game_file_that_is_a_list_is_invalid_input(self, tmp_path, capsys):
+        pure = {"type": "profile", "kind": "pure", "strategies": [0, 0]}
+        assert self._verify(tmp_path, [1, 2], pure) == EXIT_INVALID
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_path_that_is_not_a_list_is_invalid_input(self, tmp_path, capsys):
+        profile = {
+            "type": "profile",
+            "kind": "congestion",
+            "assignment": [{"path": 5, "count": 4}],
+        }
+        assert self._verify(tmp_path, "step:m=2,n=4,seed=0", profile) == EXIT_INVALID
+        assert "path 5" in capsys.readouterr().err
+
+    def test_pure_profile_for_congestion_game_is_invalid_input(self, tmp_path, capsys):
+        pure = {"type": "profile", "kind": "pure", "strategies": [0, 1]}
+        assert self._verify(tmp_path, "step:m=2,n=4,seed=0", pure) == EXIT_INVALID
+        assert "congestion profile" in capsys.readouterr().err
 
 
 class TestBench:

@@ -568,3 +568,42 @@ class TestContractionMapping:
         for _ in range(2):
             with pytest.raises((InvalidProfile, AlgorithmInvariantViolated)):
                 cmap.map_path_back(bad)
+
+
+class TestOneValidationPerQuery:
+    def test_each_queried_path_is_validated_once(self, monkeypatch):
+        # The oracle validates each path it is asked about; the contracted
+        # view validates each distinct reduced path once, on first mapping;
+        # descent validates its starting profile.  Nothing else validates.
+        calls = []
+        real = Network.validate_path
+        monkeypatch.setattr(
+            Network, "validate_path", lambda net, path: calls.append(path) or real(net, path)
+        )
+        game = gen_random_dag(6, 9, 3, seed=0, subdivide=3)
+        oracle = CongestionOracle(game)
+        result = solve_dag_game(oracle)
+        assert result.contraction.steps
+        queried = [tuple(p) for query, _ in oracle.ledger.log for p, _ in query["loads"]]
+        first_mappings = set(queried) | set(result.profile)
+        assert len(calls) == len(queried) + len(first_mappings) + 1
+
+    @pytest.mark.parametrize("bad", ["unknown edge", "stops early", "removed edge"])
+    def test_contracted_view_rejects_bad_paths_uncharged(self, bad):
+        game = gen_random_dag(7, 12, 3, 0, subdivide=2)
+        oracle = CongestionOracle(game)
+        reduced, cmap = preprocess_contract(game)
+        assert cmap.steps
+        good = enumerate_paths(reduced)[0]
+        path = {
+            "unknown edge": good + (max(game.edges) + 1,),
+            "stops early": good[:-1],
+            "removed edge": (cmap.steps[0].removed,),
+        }[bad]
+        view = ContractedOracle(oracle, cmap)
+        for _ in range(2):
+            with pytest.raises(InvalidProfile):
+                view.query_loads({good: 1, path: 1})
+        assert oracle.ledger.count == 0
+        view.query_loads({good: 1})
+        assert oracle.ledger.count == 1

@@ -162,6 +162,14 @@ class TestInvariants:
         with pytest.raises(InvalidProfile):
             validate_profile(game, {(0, 2): 1})
 
+    def test_validate_profile_returns_edge_loads(self):
+        game = diamond(players=3)
+        for profile in ({(0, 2): 3}, {(0, 2): 2, (1, 3): 1}, {(0, 3): 1, (1, 2): 2, (1, 3): 0}):
+            assert validate_profile(game, profile) == edge_loads(game, profile)
+        for bad in ({(0,): 3}, {(0, 2): 4, (1, 3): -1}, {(0, 5): 3}):
+            with pytest.raises(InvalidProfile):
+                validate_profile(game, bad)
+
 
 class TestPathsAndOrder:
     def test_diamond_paths(self):

@@ -116,6 +116,15 @@ class TestCongestionOracle:
             oracle.query_loads({(0,): 2})
         assert oracle.ledger.count == 0
 
+    def test_invalid_path_not_counted(self):
+        from tests.test_games import diamond
+
+        oracle = CongestionOracle(diamond(players=2))
+        for bad in ((0,), (0, 2, 3), (2,), (0, 9), ()):
+            with pytest.raises(InvalidProfile):
+                oracle.query_loads({(0, 2): 1, bad: 1})
+        assert oracle.ledger.count == 0
+
     def test_transcript_dump(self):
         game = parallel_links_game([[0, 1, 2], [0, 5, 6]], 2)
         oracle = CongestionOracle(game)
