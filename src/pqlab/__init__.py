@@ -16,7 +16,6 @@ from .dag_learner import (
     choose_p1_p3,
     choose_p4_p5,
     find_bridges,
-    find_dependent_pair,
     learn_costs,
     learn_level,
     learn_one_player,

@@ -5,11 +5,13 @@ of every route changes nothing observable), so the learner reconstructs an
 *equivalent* cost function: one pricing every strategy of every profile
 identically.  It spends exactly |E| queries per player level, n*|E| total.
 
-Pipeline: contract dependent edge pairs (zero queries), learn all load-1
-values in topological order, then lift level by level with bridge and
-two-path queries whose loads make every unknown appear exactly once; their
-paths are planned once per network and replayed at every level.  A pure
-equilibrium is found by potential descent and maps back through contraction.
+Pipeline: contract every dependent edge pair in one rebuild (zero queries),
+learn all load-1 values in topological order, then lift level by level with
+bridge and two-path queries whose loads make every unknown appear exactly
+once; their paths are planned once per network and replayed at every level.
+One pass per network finds the edges on every path to and from each vertex,
+which gives both the dependent pairs and the bridges.  A pure equilibrium is
+found by potential descent and maps back through contraction.
 """
 
 from __future__ import annotations
@@ -162,13 +164,11 @@ class ContractionMap:
     )
 
     @cached_property
-    def _removed_out(self) -> dict[int, list[tuple[int, int]]]:
-        """Tail vertex -> (removed edge, head) pairs, lowest edge id first."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for e in sorted(s.removed for s in self.steps):
-            tail, head = self.original.edges[e]
-            out.setdefault(tail, []).append((e, head))
-        return out
+    def _removed_out(self) -> dict[int, tuple[int, int]]:
+        """Tail vertex -> (removed edge, head).  A vertex has at most one
+        removed out-edge: when an edge is removed it is its tail's only one."""
+        edges = self.original.edges
+        return {edges[s.removed][0]: (s.removed, edges[s.removed][1]) for s in self.steps}
 
     @cached_property
     def absorbed(self) -> dict[int, tuple[int, ...]]:
@@ -204,29 +204,13 @@ class ContractionMap:
         return result
 
     def _bridge(self, frm: int, to: int) -> list[int]:
-        """Chain of removed edges frm -> to (BFS, lowest edge ids first)."""
-        parents: dict[int, tuple[int, int]] = {}
-        seen = {frm}
-        queue = deque([frm])
-        while queue:
-            v = queue.popleft()
-            if v == to:
-                break
-            for e, h in self._removed_out.get(v, ()):
-                if h not in seen:
-                    seen.add(h)
-                    parents[h] = (v, e)
-                    queue.append(h)
-        if to not in seen:
-            raise AlgorithmInvariantViolated(
-                f"no removed-edge chain from {frm} to {to}"
-            )
+        """Chain of removed edges frm -> to."""
         chain: list[int] = []
-        v = to
-        while v != frm:
-            v, e = parents[v]
+        while frm != to:
+            if frm not in self._removed_out:
+                raise AlgorithmInvariantViolated(f"no removed-edge chain to {to}")
+            e, frm = self._removed_out[frm]
             chain.append(e)
-        chain.reverse()
         return chain
 
     def map_profile_back(self, profile: Mapping[Path, int]) -> dict[Path, int]:
@@ -236,31 +220,6 @@ class ContractionMap:
         return mapped
 
 
-def find_dependent_pair(net: Network) -> tuple[int, int] | None:
-    """First edge pair (e, e') such that every o-d path uses both or neither.
-
-    Detection is the two reachability checks: with e deleted the later tail
-    is unreachable from the origin, and with e' deleted the destination is
-    unreachable from e's head.
-    """
-    pos = net.topo_position
-    ids = sorted(net.edges)
-    for e in ids:
-        t1, h1 = net.edges[e]
-        for e2 in ids:
-            if e2 == e:
-                continue
-            t2, _ = net.edges[e2]
-            if pos[t1] >= pos[t2]:
-                continue
-            if net.reachable(net.origin, t2, {e}):
-                continue
-            if net.reachable(h1, net.destination, {e2}):
-                continue
-            return e, e2
-    return None
-
-
 def _remembered(net: Network, key: str, compute):
     """compute(net), kept on the network under key; a network never changes."""
     if key not in net.__dict__:
@@ -268,31 +227,78 @@ def _remembered(net: Network, key: str, compute):
     return net.__dict__[key]
 
 
-def contract_network(net: Network) -> tuple[Network, ContractionMap]:
-    """Contract away dependent pairs; zero queries, structure only."""
-    original = net
+def _must_use(net: Network) -> tuple[dict[int, frozenset], dict[int, frozenset]]:
+    """Per vertex v, the edges on every origin->v and every v->destination path.
+
+    One intersection sweep each way along the topology: in a DAG the
+    dominator dataflow of Cooper, Harvey and Kennedy settles in one pass.
+    """
+    order = net.topological_order()
+
+    def sweep(vertices, incident, far_end) -> dict[int, frozenset]:
+        acc: dict[int, frozenset] = {}
+        for v in vertices:
+            sets = [acc[net.edges[g][far_end]] | {g} for g in incident[v]]
+            acc[v] = frozenset.intersection(*sets) if sets else frozenset()
+        return acc
+
+    return sweep(order, net.in_edges, 0), sweep(reversed(order), net.out_edges, 1)
+
+
+def _dependent_steps(net: Network) -> list[ContractionStep]:
+    """Every contraction step, in the order a one-pair-at-a-time search takes them.
+
+    Edges e and a later e' are dependent (every o-d path uses both or
+    neither) exactly when e' lies on every path from e's head and e on every
+    path to the tail of e'.  Dependence groups edges by the paths using them,
+    and contracting a pair leaves the other groups as they were, so the
+    search order -- the lowest-id edge with a later partner absorbs its
+    lowest-id later partner -- replays on the groups without graph work.
+    """
+    before, after = _remembered(net, "_must_use", _must_use)
+    along = lambda e: net.topo_position[net.edges[e][0]]  # noqa: E731
+    chains: list[list[int]] = []
+    seen: set[int] = set()
+    for e in sorted(net.edges, key=along):
+        if e not in seen:
+            later = [g for g in after[net.edges[e][1]] if e in before[net.edges[g][0]]]
+            chains.append([e, *sorted(later, key=along)])
+            seen.update(chains[-1])
     steps: list[ContractionStep] = []
-    while True:
-        pair = _remembered(net, "_dependent_pair", find_dependent_pair)
-        if pair is None:
-            break
-        absorber, removed = pair
-        merged_away = net.edges[removed][1]
-        into = net.edges[removed][0]
-        relabel = lambda v: into if v == merged_away else v  # noqa: E731
-        new_edges = {
-            g: (relabel(t), relabel(h))
-            for g, (t, h) in net.edges.items()
-            if g != removed
-        }
-        net = Network(
-            (v for v in net.vertices if v != merged_away),
-            new_edges,
-            net.origin,
-            relabel(net.destination),
-        )
+    while chains := [c for c in chains if len(c) > 1]:
+        absorber, chain = min((g, c) for c in chains for g in c[:-1])
+        removed = min(chain[chain.index(absorber) + 1 :])
+        chain.remove(removed)
         steps.append(ContractionStep(removed=removed, absorber=absorber))
-    return net, ContractionMap(original=original, reduced=net, steps=steps)
+    return steps
+
+
+def find_dependent_pair(net: Network) -> tuple[int, int] | None:
+    """First edge pair (e, e') such that every o-d path uses both or neither."""
+    steps = _dependent_steps(net)
+    return (steps[0].absorber, steps[0].removed) if steps else None
+
+
+def contract_network(net: Network) -> tuple[Network, ContractionMap]:
+    """Contract away dependent pairs in one rebuild; zero queries, structure only.
+
+    In step order, each removed edge's head merges into its tail's label.
+    """
+    steps = _dependent_steps(net)
+    if not steps:
+        return net, ContractionMap(original=net, reduced=net, steps=steps)
+    label = {v: v for v in net.vertices}
+    for step in steps:
+        tail, head = (label[v] for v in net.edges[step.removed])
+        label = {v: tail if at == head else at for v, at in label.items()}
+    gone = {step.removed for step in steps}
+    reduced = Network(
+        set(label.values()),
+        {g: (label[t], label[h]) for g, (t, h) in net.edges.items() if g not in gone},
+        net.origin,
+        label[net.destination],
+    )
+    return reduced, ContractionMap(original=net, reduced=reduced, steps=steps)
 
 
 def preprocess_contract(game: CongestionGame) -> tuple[CongestionGame, ContractionMap]:
@@ -338,15 +344,8 @@ class ContractedOracle:
 
 def find_bridges(net: Network, kv: int) -> list[int]:
     """Edges lying on every kv-destination path, ordered along the topology."""
-    if kv == net.destination:
-        return []
-    bridges = [
-        e
-        for e in sorted(net.edges)
-        if not net.reachable(kv, net.destination, {e})
-    ]
-    bridges.sort(key=lambda e: net.topo_position[net.edges[e][0]])
-    return bridges
+    after = _remembered(net, "_must_use", _must_use)[1]
+    return sorted(after[kv], key=lambda e: net.topo_position[net.edges[e][0]])
 
 
 def _disjoint_or_fail(net: Network, frm: int, to: int) -> tuple[Path, Path]:
@@ -647,7 +646,7 @@ def learn_costs(oracle, net: Network | None = None) -> PartialCostFunction:
     """
     if net is None:
         net = oracle.network
-    if _remembered(net, "_dependent_pair", find_dependent_pair) is not None:
+    if find_dependent_pair(net) is not None:
         raise InvalidSpec("network still contains a dependent edge pair")
     f = learn_one_player(oracle, net)
     for level in range(1, oracle.players):

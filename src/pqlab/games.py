@@ -308,26 +308,6 @@ class Network:
     def topo_position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.topological_order())}
 
-    def reachable(
-        self, frm: int, to: int, banned_edges: frozenset[int] | set[int] = frozenset()
-    ) -> bool:
-        if frm == to:
-            return True
-        seen = {frm}
-        queue = deque([frm])
-        while queue:
-            v = queue.popleft()
-            for e in self.out_edges[v]:
-                if e in banned_edges:
-                    continue
-                h = self.edges[e][1]
-                if h == to:
-                    return True
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-        return False
-
     def least_path(
         self, frm: int, to: int, banned_edges: frozenset[int] | set[int] = frozenset()
     ) -> Path | None:

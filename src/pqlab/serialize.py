@@ -7,11 +7,12 @@ enforced by tests.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import InvalidProfile, InvalidSpec
+from .errors import InvalidProfile, InvalidSpec, PqlabError
 from .games import (
     BimatrixGame,
     CongestionGame,
@@ -35,6 +36,26 @@ def parse_rational(text: object) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidSpec(f"not a rational: {text!r}") from exc
     raise InvalidSpec(f"not a rational: {text!r}")
+
+
+def _document(error: type[PqlabError], what: str):
+    """Parse a JSON object, reporting any other shape or a field of the wrong
+    JSON type (a null, say) as ``error`` instead of a raw Python error."""
+
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(data):
+            if not isinstance(data, Mapping):
+                got = type(data).__name__
+                raise error(f"a {what} document is a JSON object, got {got}")
+            try:
+                return parse(data)
+            except (TypeError, AttributeError) as exc:
+                raise error(f"malformed {what} document: {exc}") from exc
+
+        return checked
+
+    return wrap
 
 
 def _table_out(table) -> list[list[str]]:
@@ -81,9 +102,8 @@ def game_to_dict(game: BimatrixGame | GraphicalGame | CongestionGame) -> dict[st
     raise InvalidSpec(f"unknown game object {game!r}")
 
 
+@_document(InvalidSpec, "game")
 def game_from_dict(data: Mapping[str, Any]) -> BimatrixGame | GraphicalGame | CongestionGame:
-    if not isinstance(data, Mapping):
-        raise InvalidSpec(f"a game document is a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "bimatrix":
         return BimatrixGame(
@@ -145,6 +165,7 @@ def profile_to_dict(profile: object) -> dict[str, Any]:
     raise InvalidSpec(f"cannot serialize profile {profile!r}")
 
 
+@_document(InvalidProfile, "profile")
 def profile_from_dict(data: Mapping[str, Any]) -> object:
     kind = data.get("kind")
     if kind == "mixed":

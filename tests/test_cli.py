@@ -2,7 +2,10 @@
 
 import json
 
-from pqlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
+import pytest
+
+from pqlab import serialize
+from pqlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main, make_game
 
 
 def run(tmp_path, *argv):
@@ -192,6 +195,48 @@ class TestVerifyCommand:
         pure = {"type": "profile", "kind": "pure", "strategies": [0, 1]}
         assert self._verify(tmp_path, "step:m=2,n=4,seed=0", pure) == EXIT_INVALID
         assert "congestion profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, nulled, profile, message",
+        [
+            ("step:m=2,n=4,seed=0", (), [1, 2], "profile document is a JSON object"),
+            (
+                "step:m=2,n=4,seed=0",
+                (),
+                {"type": "profile", "kind": "congestion",
+                 "assignment": [{"path": [0], "count": None}]},
+                "malformed profile document",
+            ),
+            (
+                "pennies:k=2",
+                (),
+                {"type": "profile", "kind": "pure", "strategies": None},
+                "malformed profile document",
+            ),
+            ("pennies:k=2", ("row_payoff",), None, "malformed game document"),
+            ("step:m=2,n=4,seed=0", ("cost_tables", "0"), None, "malformed game document"),
+            ("step:m=2,n=4,seed=0", ("players",), None, "malformed game document"),
+            ("random-graphical:n=3,k=2,d=1,seed=0", ("players",), None,
+             "malformed game document"),
+        ],
+        ids=["profile-list", "null-count", "null-strategies", "null-row-payoff",
+             "null-cost-table", "null-congestion-players", "null-graphical-players"],
+    )
+    def test_wrong_json_types_are_invalid_input(
+        self, tmp_path, capsys, spec, nulled, profile, message
+    ):
+        game = spec
+        if nulled:
+            game = serialize.game_to_dict(make_game(spec))
+            *outer, last = nulled
+            field = game
+            for key in outer:
+                field = field[key]
+            field[last] = None
+        if profile is None:
+            profile = {"type": "profile", "kind": "pure", "strategies": [0, 0]}
+        assert self._verify(tmp_path, game, profile) == EXIT_INVALID
+        assert message in capsys.readouterr().err
 
 
 class TestBench:

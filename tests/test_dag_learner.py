@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,55 @@ class TestDependenceAndContraction:
             for ne in brute_force_pure_ne(reduced):
                 mapped = cmap.map_profile_back(ne)
                 assert deviation_report(game, mapped).is_equilibrium
+
+    @pytest.mark.parametrize("subdivide", [1, 2, 3])
+    def test_contraction_and_bridges_match_path_enumeration(self, subdivide):
+        # Edges used by exactly the same o-d paths form one dependent group;
+        # the contraction keeps the group's earliest edge and folds the rest
+        # into it.  Each step takes the pair a one-pair-at-a-time search
+        # finds first: the lowest-id edge with a later partner still present,
+        # and its lowest-id such partner.  The kv-bridges are the edges on
+        # every kv-destination path, in the order the paths take them.
+        for seed in range(15):
+            net = gen_random_dag(6, 9, 2, seed, subdivide=subdivide).network
+            paths = enumerate_paths(net)
+            groups: dict[frozenset, list[int]] = {}
+            for e in net.edges:
+                users = frozenset(i for i, p in enumerate(paths) if e in p)
+                groups.setdefault(users, []).append(e)
+            chains = [sorted(g, key=paths[min(u)].index) for u, g in groups.items()]
+            assert any(len(chain) > 1 for chain in chains)
+            reduced, cmap = contract_network(net)
+            for first, *rest in chains:
+                assert {first, *rest} & set(reduced.edges) == {first}
+                assert cmap.absorbed.get(first, ()) == tuple(sorted(rest))
+            alive = set(net.edges)
+
+            def pairs():
+                return sorted(
+                    (e, g)
+                    for chain in chains
+                    for i, e in enumerate(chain)
+                    for g in chain[i + 1 :]
+                    if {e, g} <= alive
+                )
+
+            assert find_dependent_pair(net) == pairs()[0]
+            for step in cmap.steps:
+                assert (step.absorber, step.removed) == pairs()[0]
+                alive.remove(step.removed)
+            assert pairs() == []
+            assert find_dependent_pair(reduced) is None
+            for graph in (net, reduced):
+                for kv in graph.vertices:
+                    onward = [
+                        p[next(i for i, e in enumerate(p) if graph.edges[e][0] == kv):]
+                        for p in enumerate_paths(graph)
+                        if any(graph.edges[e][0] == kv for e in p)
+                    ] or [()]
+                    common = set.intersection(*map(set, onward))
+                    want = [e for e in onward[0] if e in common]
+                    assert find_bridges(graph, kv) == want
 
     def test_contraction_makes_zero_queries(self):
         game = gen_random_dag(6, 9, 2, seed=0, subdivide=3)
@@ -536,18 +586,22 @@ class TestLevelPlanAndDescent:
             learn_costs(oracle)
         assert oracle.ledger.count == 0
 
-    def test_dependent_pair_search_runs_once_per_network(self, monkeypatch):
-        searched = []
-        real = dag_learner.find_dependent_pair
+    @pytest.mark.parametrize("subdivide", [0, 3])
+    def test_must_use_pass_runs_once_per_network(self, monkeypatch, subdivide):
+        # Contraction, the learner's dependent-pair check and every bridge
+        # lookup share one pass per network: the original and, if anything
+        # contracted, the reduced one.
+        swept = []
+        real = dag_learner._must_use
         monkeypatch.setattr(
-            dag_learner,
-            "find_dependent_pair",
-            lambda net: searched.append(net) or real(net),
+            dag_learner, "_must_use", lambda net: swept.append(net) or real(net)
         )
-        game = gen_random_dag(6, 9, 2, seed=0, subdivide=3)
-        result = solve_dag_game(CongestionOracle(game))
-        assert len(searched) == len(result.contraction.steps) + 1
-        assert all(a is not b for a, b in zip(searched, searched[1:]))
+        game = gen_random_dag(6, 9, 2, seed=4, subdivide=subdivide)
+        cmap = solve_dag_game(CongestionOracle(game)).contraction
+        assert bool(cmap.steps) == bool(subdivide)
+        networks = [cmap.original] + ([cmap.reduced] if cmap.steps else [])
+        assert len(swept) == len(networks)
+        assert all(a is b for a, b in zip(swept, networks))
 
 
 class TestContractionMapping:
@@ -607,3 +661,63 @@ class TestOneValidationPerQuery:
         assert oracle.ledger.count == 0
         view.query_loads({good: 1})
         assert oracle.ledger.count == 1
+
+
+# Per gen_random_dag(7, 12, 3, seed, subdivide) as (seed, subdivide): the
+# first 16 hex digits of the sha256 of the reduced network's repr((vertices,
+# sorted edges, origin, destination)), and the JSON text of the CLI's
+# contracted_edges, whose key order follows the contraction steps.
+# Recorded from the contraction that searched for one dependent pair at a
+# time and rebuilt the network after each.
+CONTRACTION_PINNED = {
+    (0, 1): ("4a1a8b22dcf21223", '{"0": [3], "11": [12]}'),
+    (1, 1): ("efd267f17cae7d9c", '{"1": [9]}'),
+    (2, 1): ("f299b08ac7cc34a3", '{"0": [5]}'),
+    (3, 1): ("7f9b05679f19e24e", '{"8": [11]}'),
+    (4, 1): ("dcc5e8361b1e6d3d", '{"0": [11]}'),
+    (5, 1): ("23b4d278e75dde66", '{"7": [12]}'),
+    (6, 1): ("0c2dd2e9b29ef15c", '{"4": [12], "9": [8]}'),
+    (7, 1): ("139a056b59f052d3", '{"3": [12]}'),
+    (8, 1): ("82c2c1b0b80b0de9", '{"6": [7]}'),
+    (9, 1): ("0a62e0c3a88272cd", '{"5": [12], "6": [7]}'),
+    (10, 1): ("d83c94f7ff3532d5", '{"9": [12]}'),
+    (11, 1): ("269be46a368966a0", '{"0": [1], "2": [12]}'),
+    (0, 2): ("bc90ee0ffca54eff", '{"0": [3], "2": [13], "11": [12]}'),
+    (1, 2): ("ecf63a809f808ff2", '{"0": [10], "1": [9]}'),
+    (2, 2): ("97bf54b55c68c697", '{"0": [5], "4": [6]}'),
+    (3, 2): ("012f83448af3e670", '{"5": [12], "8": [11]}'),
+    (4, 2): ("bde1bfd7c7d9ba87", '{"0": [11], "1": [12]}'),
+    (5, 2): ("74004d709aea9c1e", '{"3": [13], "7": [12]}'),
+    (6, 2): ("6bf3c260881a94e3", '{"4": [12], "7": [13], "9": [8]}'),
+    (7, 2): ("699b0dceccc86e1d", '{"0": [13], "3": [12]}'),
+    (8, 2): ("82c2c1b0b80b0de9", '{"0": [8], "6": [7]}'),
+    (9, 2): ("1863952a35425aac", '{"5": [12], "6": [7], "8": [13]}'),
+    (10, 2): ("0f871a81433e4979", '{"8": [13], "9": [12]}'),
+    (11, 2): ("1a6ca488eb65606c", '{"0": [1, 13], "2": [12]}'),
+    (0, 3): ("6779ea6c61d1d5da", '{"0": [3], "2": [13], "9": [14], "11": [12]}'),
+    (1, 3): ("be5fb087094ddf64", '{"0": [10], "1": [9], "8": [11]}'),
+    (2, 3): ("97bf54b55c68c697", '{"0": [5], "4": [6]}'),
+    (3, 3): ("012f83448af3e670", '{"3": [13], "5": [12], "8": [11]}'),
+    (4, 3): ("0fb5f2dc0ae57a68", '{"0": [11], "1": [12], "6": [13]}'),
+    (5, 3): ("4472143627e28b6e", '{"3": [13], "6": [14], "7": [12]}'),
+    (6, 3): ("6bf3c260881a94e3", '{"3": [14], "4": [12], "7": [13], "9": [8]}'),
+    (7, 3): ("8eaed76a5a2b4c6c", '{"0": [13], "1": [14], "3": [12]}'),
+    (8, 3): ("1a3839164eef71ec", '{"0": [8], "1": [9], "6": [7]}'),
+    (9, 3): ("6b4babbff711a61f", '{"0": [14], "5": [12], "6": [7], "8": [13]}'),
+    (10, 3): ("8f18706d21b9a02a", '{"5": [14], "8": [13], "9": [12]}'),
+    (11, 3): ("86e3acf80efbcfac", '{"0": [1, 13], "2": [12], "3": [14]}'),
+}
+
+
+class TestContractionPinned:
+    @pytest.mark.parametrize("cell", sorted(CONTRACTION_PINNED))
+    def test_reduced_network_and_absorbed_order(self, cell):
+        seed, subdivide = cell
+        net = gen_random_dag(7, 12, 3, seed, subdivide=subdivide).network
+        reduced, cmap = contract_network(net)
+        text = repr(
+            (reduced.vertices, sorted(reduced.edges.items()),
+             reduced.origin, reduced.destination)
+        )
+        absorbed = json.dumps({str(e): list(ids) for e, ids in cmap.absorbed.items()})
+        assert (sha256(text)[:16], absorbed) == CONTRACTION_PINNED[cell]

@@ -19,7 +19,7 @@ ALLOWED = {
     "brute_force_pure_ne", "build_probe_set", "check_equivalence", "choose_p1_p3",
     "choose_p4_p5", "consistent_completions", "contract_network",
     "default_group_factor", "deviation_report", "edge_loads", "enumerate_paths",
-    "exact_ne_2x2", "find_bridges", "find_dependent_pair", "gen_G_ell", "gen_R_ell",
+    "exact_ne_2x2", "find_bridges", "gen_G_ell", "gen_R_ell",
     "gen_matching_pennies", "gen_random_bimatrix", "gen_random_dag",
     "gen_random_graphical", "gen_random_step_links", "gen_step_links",
     "greedy_parallel_ne", "half_approx_ne", "is_delta_equilibrium", "learn_costs",
