@@ -79,7 +79,6 @@ from .oracles import (
 from .parallel_links import (
     LinkLoads,
     ParallelLinksResult,
-    PhasePlan,
     default_group_factor,
     is_delta_equilibrium,
     refine_profile,

@@ -28,7 +28,12 @@ from .games import (
     link_tables,
     regret,
 )
-from .oracles import AdversaryLinkOracle, CongestionOracle, PurePayoffOracle
+from .oracles import (
+    AdversaryLinkOracle,
+    CongestionOracle,
+    PurePayoffOracle,
+    consistent_completions,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -148,9 +153,7 @@ def _cmd_solve_parallel_links(args) -> int:
             raise ValueError("--adversary needs --players or a --gen spec with n=")
         oracle = AdversaryLinkOracle(players, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
-        completions = list(
-            range(oracle.state.lower, oracle.state.upper)
-        )
+        completions = list(consistent_completions(oracle.state))
         verified = (
             len(completions) == 1
             and result.loads.loads[0] == completions[0]
@@ -237,7 +240,7 @@ def _cmd_learn_dag(args) -> int:
     view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
     learned = dag.learn_costs(view, cmap.reduced)
     equivalent, counterexample = verify.check_equivalence(
-        learned.as_tables(), reduced_game.cost, reduced_game, game.players,
+        learned.as_tables(), reduced_game.cost, reduced_game,
         mode=args.verify_mode,
     )
     payload = {

@@ -20,8 +20,9 @@ which can only lower the query count.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import AlgorithmInvariantViolated, InvalidSpec
@@ -54,33 +55,6 @@ class LinkLoads:
 
 
 @dataclass(frozen=True)
-class PhasePlan:
-    """Phase schedule: group sizes kf^T, ..., kf, 1."""
-
-    group_factor: int
-    players: int
-
-    def __post_init__(self) -> None:
-        if self.group_factor < 2:
-            raise InvalidSpec("group factor must be at least 2")
-        if self.players < 1:
-            raise InvalidSpec("need at least one player")
-
-    @property
-    def phase_count_exponent(self) -> int:
-        """Largest T with group_factor**T <= players."""
-        t, power = 0, 1
-        while power * self.group_factor <= self.players:
-            power *= self.group_factor
-            t += 1
-        return t
-
-    def deltas(self) -> list[int]:
-        kf = self.group_factor
-        return [kf**t for t in range(self.phase_count_exponent, -1, -1)]
-
-
-@dataclass(frozen=True)
 class RefineTrace:
     """Instrumentation of one successful refinement."""
 
@@ -96,8 +70,8 @@ class ParallelLinksResult:
     queries_used: int
     query_bound: int
     group_factor: int
-    checkpoints: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    traces: list[RefineTrace] = field(default_factory=list)
+    checkpoints: list[tuple[int, tuple[int, ...]]]
+    traces: list[RefineTrace]
 
 
 def is_delta_equilibrium(
@@ -197,18 +171,23 @@ class _PhaseContext:
 
 
 def _collect_additions(cache: _ProbeCache, ctx: _PhaseContext) -> None:
-    """2*kf probe rounds: cost of adding r groups to every link, r = 1..2kf."""
-    n = ctx.players
-    for r in range(1, 2 * ctx.kf + 1):
-        wanted = {
-            i: ctx.loads[i] + r * ctx.delta
-            for i in range(ctx.links)
-            if ctx.loads[i] + r * ctx.delta <= n
-        }
-        cache.probe_round(wanted)
-        for i in wanted:
-            ctx.additions.append((cache.value(i, wanted[i]), i, r))
-    ctx.additions.sort(key=lambda t: (t[0], t[1], t[2]))
+    """2*kf probe rounds: cost of adding r groups to every link, r = 1..2kf.
+
+    The slots are listed link by link with r ascending and sorted stably on
+    cost alone, so equal costs stay in (link, r) order.
+    """
+    n, delta, rounds = ctx.players, ctx.delta, range(1, 2 * ctx.kf + 1)
+    for r in rounds:
+        cache.probe_round(
+            {i: x + r * delta for i, x in enumerate(ctx.loads) if x + r * delta <= n}
+        )
+    ctx.additions = [
+        (cache.value(i, x + r * delta), i, r)
+        for i, x in enumerate(ctx.loads)
+        for r in rounds
+        if x + r * delta <= n
+    ]
+    ctx.additions.sort(key=itemgetter(0))
 
 
 def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Fraction) -> list[int]:
@@ -226,20 +205,15 @@ def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Fraction) -> 
             if caps[i] > 0
         }
     )
-    counts: list[int | None] = [None] * ctx.links
-    lo = [0] * ctx.links
-    hi = [0] * ctx.links
-    for i in range(ctx.links):
-        if caps[i] == 0:
-            counts[i] = 0
-        elif cache.value(i, ctx.loads[i] - caps[i] * ctx.delta) > theta:
-            counts[i] = caps[i]
-        else:
-            lo[i], hi[i] = 0, caps[i]
+    hi = caps
+    lo = [
+        cap if cap and cache.value(i, ctx.loads[i] - cap * ctx.delta) > theta else 0
+        for i, cap in enumerate(caps)
+    ]
     # Batched binary searches: one probe round per iteration covers every
     # link still looking for the first drained-load whose cost is <= theta.
     while True:
-        active = [i for i in range(ctx.links) if counts[i] is None and lo[i] < hi[i]]
+        active = [i for i in range(ctx.links) if lo[i] < hi[i]]
         if not active:
             break
         mids = {i: (lo[i] + hi[i]) // 2 for i in active}
@@ -251,10 +225,7 @@ def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Fraction) -> 
                 hi[i] = mids[i]
             else:
                 lo[i] = mids[i] + 1
-    for i in range(ctx.links):
-        if counts[i] is None:
-            counts[i] = lo[i]
-    return counts  # type: ignore[return-value]
+    return lo
 
 
 def _movable_pairs_at_least(cache: _ProbeCache, ctx: _PhaseContext, q: int) -> bool:
@@ -262,12 +233,9 @@ def _movable_pairs_at_least(cache: _ProbeCache, ctx: _PhaseContext, q: int) -> b
 
     True iff at least q removal slots cost strictly more than the q-th
     cheapest addition slot, i.e. the q-th best removal beats the q-th best
-    addition.  Monotone decreasing in q.
+    addition.  Monotone decreasing in q; the search only asks q in
+    [1, len(additions)].
     """
-    if q == 0:
-        return True
-    if q > len(ctx.additions):
-        return False
     theta = ctx.additions[q - 1][0]
     return sum(_removal_counts(cache, ctx, theta)) >= q
 
@@ -359,41 +327,17 @@ def _commit(
     )
 
 
-def _refine(
-    cache: _ProbeCache,
-    ctx: _PhaseContext,
-    qmin: int,
-    qmax: int,
-) -> tuple[tuple[int, ...], RefineTrace]:
-    """Binary search for the number of groups to move, then commit.
-
-    Invariant: moving qmin groups is known feasible, the answer lies in
-    [qmin, qmax].  A crossed window means the predicate lost monotonicity,
-    which only a non-monotone hidden cost function (or a bug) can cause.
-    """
-    if qmin > qmax:
-        raise AlgorithmInvariantViolated("refinement window crossed")
-    if qmin == qmax:
-        return _commit(cache, ctx, qmin)
-    mid = (qmin + qmax + 1) // 2
-    if _movable_pairs_at_least(cache, ctx, mid):
-        return _refine(cache, ctx, mid, qmax)
-    return _refine(cache, ctx, qmin, mid - 1)
-
-
 def refine_profile(
     oracle,
     loads: LinkLoads,
     delta: int,
-    qmin: int = 0,
-    qmax: int | None = None,
     group_factor: int | None = None,
 ) -> LinkLoads:
     """One refinement pass: turn a (kf*delta)-equilibrium into a delta-one."""
     links = _link_paths(oracle)
     kf = group_factor if group_factor is not None else default_group_factor(len(links))
     cache = _ProbeCache(oracle, links)
-    new_loads, _ = _refine_phase(cache, loads, delta, kf, oracle.players, qmin, qmax)
+    new_loads, _ = _refine_phase(cache, loads, delta, kf, oracle.players)
     return LinkLoads(new_loads, loads.special)
 
 
@@ -403,9 +347,12 @@ def _refine_phase(
     delta: int,
     kf: int,
     players: int,
-    qmin: int = 0,
-    qmax: int | None = None,
 ) -> tuple[tuple[int, ...], RefineTrace]:
+    """Binary search for the number of groups to move, then commit.
+
+    Invariant: moving lo groups is known feasible, and the answer lies in
+    [lo, hi].
+    """
     ctx = _PhaseContext(
         delta=delta,
         kf=kf,
@@ -415,9 +362,14 @@ def _refine_phase(
         additions=[],
     )
     _collect_additions(cache, ctx)
-    cap = min(ctx.window, len(ctx.additions))
-    top = cap if qmax is None else min(qmax, cap)
-    return _refine(cache, ctx, qmin, top)
+    lo, hi = 0, min(ctx.window, len(ctx.additions))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _movable_pairs_at_least(cache, ctx, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return _commit(cache, ctx, lo)
 
 
 def _link_paths(oracle) -> list[Path]:
@@ -450,26 +402,22 @@ def solve_parallel_links(oracle, group_factor: int | None = None) -> ParallelLin
     loads = LinkLoads(
         tuple(n if i == special else 0 for i in range(m)), special
     )
-    plan = PhasePlan(kf, n)
-    result = ParallelLinksResult(
-        loads=loads,
-        queries_used=0,
-        query_bound=_query_bound(plan.phase_count_exponent, kf, m),
-        group_factor=kf,
-    )
+    deltas = [1]  # kf^0, kf^1, ..., kf^T: every power of kf up to n
+    while deltas[-1] * kf <= n:
+        deltas.append(deltas[-1] * kf)
+    checkpoints: list[tuple[int, tuple[int, ...]]] = []
+    traces: list[RefineTrace] = []
     if m > 1:
-        for delta in plan.deltas():
+        for delta in reversed(deltas):
             new_loads, trace = _refine_phase(cache, loads, delta, kf, n)
             loads = LinkLoads(new_loads, special)
-            result.checkpoints.append((delta, new_loads))
-            result.traces.append(trace)
-    result.loads = loads
-    result.queries_used = oracle.ledger.count - before
-    if result.queries_used > result.query_bound:
-        raise AlgorithmInvariantViolated(
-            f"{result.queries_used} queries exceed the bound {result.query_bound}"
-        )
-    return result
+            checkpoints.append((delta, new_loads))
+            traces.append(trace)
+    used = oracle.ledger.count - before
+    bound = _query_bound(len(deltas) - 1, kf, m)
+    if used > bound:
+        raise AlgorithmInvariantViolated(f"{used} queries exceed the bound {bound}")
+    return ParallelLinksResult(loads, used, bound, kf, checkpoints, traces)
 
 
 def _query_bound(T: int, kf: int, m: int) -> int:

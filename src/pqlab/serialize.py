@@ -194,6 +194,7 @@ def loads_to_dict(loads: Mapping[Path, int]) -> dict[str, Any]:
     }
 
 
+@_document(InvalidProfile, "loads")
 def loads_from_dict(data: Mapping[str, Any]) -> dict[Path, int]:
     if data.get("type") != "loads":
         raise InvalidSpec("not a load-assignment document")

@@ -171,7 +171,6 @@ def check_equivalence(
     learned: Mapping[int, Sequence[Fraction]],
     truth: Mapping[int, Sequence[Fraction]],
     game: CongestionGame,
-    players: int,
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
@@ -180,8 +179,9 @@ def check_equivalence(
     """Do two cost functions price every player of every profile identically?
 
     Exhaustive mode enumerates all anonymous profiles (cap-guarded); sampled
-    mode draws seeded random profiles.  Returns (equivalent, counterexample)
-    where the counterexample names the profile and the disagreeing path.
+    mode draws seeded random profiles of game.players players.  Returns
+    (equivalent, counterexample) where the counterexample names the profile
+    and the disagreeing path.
     """
     from .games import edge_loads
 
@@ -193,7 +193,7 @@ def check_equivalence(
         profiles = []
         for _ in range(samples):
             profile: dict[Path, int] = {}
-            for p in rng.choices(paths, k=players):
+            for p in rng.choices(paths, k=game.players):
                 profile[p] = profile.get(p, 0) + 1
             profiles.append(profile)
     else:

@@ -284,7 +284,6 @@ def test_criterion_09_dag_learner_equivalence_and_accounting():
                 result.learned.as_tables(),
                 reduced_game.cost,
                 reduced_game,
-                game.players,
                 mode="exhaustive",
             )
             assert ok, counterexample

@@ -266,7 +266,7 @@ class TestLearnLevels:
         f = learn_costs(oracle)
         assert oracle.ledger.count == 8  # |E| per level, two levels
         ok, counterexample = check_equivalence(
-            f.as_tables(), game.cost, game, 2, mode="exhaustive"
+            f.as_tables(), game.cost, game, mode="exhaustive"
         )
         assert ok, counterexample
 
@@ -369,7 +369,7 @@ class TestEndToEnd:
         assert deviation_report(game, result.profile).is_equilibrium
         reduced, _ = preprocess_contract(game)
         ok, counterexample = check_equivalence(
-            result.learned.as_tables(), reduced.cost, reduced, game.players
+            result.learned.as_tables(), reduced.cost, reduced
         )
         assert ok, counterexample
 
@@ -403,7 +403,7 @@ class TestBridgeGeometry:
         oracle = CongestionOracle(game)
         f = learn_costs(oracle)
         assert oracle.ledger.count == 7 * 3
-        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game, 3)
+        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game)
         assert ok, counterexample
 
     def test_sole_in_edge_vertex_with_downstream_bridge(self):
@@ -423,7 +423,7 @@ class TestBridgeGeometry:
         oracle = CongestionOracle(game)
         f = learn_costs(oracle)
         assert oracle.ledger.count == 5 * 4
-        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game, 4)
+        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game)
         assert ok, counterexample
 
     def test_bridge_between_two_diamonds(self):

@@ -1,5 +1,8 @@
 """Phase refinement and the full parallel-links solver."""
 
+import hashlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from pqlab import (
     AdversaryLinkOracle,
     AlgorithmInvariantViolated,
     CongestionOracle,
+    InvalidSpec,
     LinkLoads,
     Network,
     QueryLedger,
@@ -16,10 +20,10 @@ from pqlab import (
     solve_parallel_links,
     step_link_game,
 )
+from pqlab.cli import EXIT_OK, main
 from pqlab.games import link_tables
 from pqlab.instances import gen_random_step_links
 from pqlab.parallel_links import (
-    PhasePlan,
     default_group_factor,
     is_delta_equilibrium,
     refine_profile,
@@ -48,13 +52,21 @@ class TestDeltaEquilibrium:
 
 
 class TestPhasePlan:
+    """The phase schedule kf^T, ..., kf, 1, read from the solver's checkpoints."""
+
     def test_deltas_descend_to_one(self):
-        plan = PhasePlan(2, 16)
-        assert plan.deltas() == [16, 8, 4, 2, 1]
+        result = solve_parallel_links(CongestionOracle(step_link_game(16, 5)), 2)
+        assert [d for d, _ in result.checkpoints] == [16, 8, 4, 2, 1]
 
     def test_non_power_boundary(self):
-        plan = PhasePlan(3, 10)
-        assert plan.deltas() == [9, 3, 1]
+        result = solve_parallel_links(CongestionOracle(step_link_game(10, 4)), 3)
+        assert [d for d, _ in result.checkpoints] == [9, 3, 1]
+
+    def test_group_factor_below_two_rejected_before_any_query(self):
+        oracle = CongestionOracle(step_link_game(16, 5))
+        with pytest.raises(InvalidSpec):
+            solve_parallel_links(oracle, 1)
+        assert oracle.ledger.count == 0
 
     def test_default_group_factor(self):
         assert default_group_factor(1) == 2
@@ -189,3 +201,132 @@ def test_single_player_takes_cheapest_link():
     game = parallel_links_game([[0, 4], [0, 2], [0, 7]], 1)
     result = solve_and_check(game)
     assert result.loads.loads == (0, 1, 0)
+
+
+# sha256 of the query transcripts (QueryLedger.dump_jsonl) and of
+# repr((loads, checkpoints, traces)), each hashed over the eight solves of
+# gen_random_step_links(m, n, seed) for seeds 0-3, each with group factor
+# None and then 3.  Recorded from the recursive refinement with a separate
+# phase schedule; the single bisection loop must reproduce them exactly.
+GRID_PINNED = {
+    (2, 7): (
+        "2f1080234f9cd30339dd570d7b614a1e4331639687a307c5f673bb0a2dc2ab54",
+        "2a23efd3ca4b297c1236676bcc5ac5aee99233d0004582a6fbceda11e5290a33",
+    ),
+    (2, 100): (
+        "6a4cda328698a1eecb21f20134507e8b3fb767bfd87204e6028f459c8ba1b6fe",
+        "33069f08a3c6b851f6b67573fd6c06d5a7595fbbeeb18256af1ba29ec8b8e28d",
+    ),
+    (2, 1000): (
+        "c871876eb2e7e6be7c497cf7854dbb190cfcca7cf64e55bcc54e1b2ee4342a88",
+        "43f15c1ec52924f72800e8f145d5743d25593807fff8497770e3689949a82d6e",
+    ),
+    (2, 4097): (
+        "187c650591401551c675966d5b792be2a02750a78af876e66791e63e569a4f2a",
+        "850bc9c951cad4ea35434ef359034c2399a8ef819955454ab5f0a7f667e1e3ab",
+    ),
+    (3, 7): (
+        "b140e76a9b9c32ab827a7e834b3e57a92e3e489e250a2f9f80587a97df561439",
+        "4c8d92d2c8dc91f9a3ffcbd0df2c84d9859a62d40b5e2abec08110de030cc68d",
+    ),
+    (3, 100): (
+        "7aebeb7ecb3e0ff43dcbb21c48844ed65136f74e74e5936958cb8afcd1e08af8",
+        "99f21e18f5206d1ee70cae8520c68c274d5a1e72c27c27539d6348a889f7db4a",
+    ),
+    (3, 1000): (
+        "972425a2bd46b600ade856b46dc2a1e0bfa61e62b379e29f06df4181334c85ec",
+        "1e98b13ae8734863c81dfce5bbe47608368397ffa10c7430d05d260643cdcbb2",
+    ),
+    (3, 4097): (
+        "654eaf26c5de03382c775ef2cae4e769ce24ad32599fe17ecdbb5a177f3ddd9e",
+        "633764e1fa69016df2fc1dc978844eda99080f870c102d0a0a26de16818ed588",
+    ),
+    (8, 7): (
+        "442b96ec745db6acb33f9b146d77f3f48c9158b5c4d969b714ae67adadcb4bb2",
+        "f502ae77cadec5a78b1cf49a13bc089019f438921f437b88af2a4ef43e4b7c1d",
+    ),
+    (8, 100): (
+        "88e08c36d9820658967b157611511da7c42b070e2c3d3bc452c501285bc7d7f8",
+        "14efcd5dc06ae2c6cf79fef50fd0e95811082d4425bfea0a92bceb32a392b421",
+    ),
+    (8, 1000): (
+        "ef592e17f2ee25ad8f4c1661e0374257ec6abcba772d9146328a0f01d75a1cd5",
+        "6a606f12a9b4d1a187a8abeafb609888fac3b44e8fcd25cd3b8273e7c0cf5d02",
+    ),
+    (8, 4097): (
+        "e13895cf072daede05c175660dfc46cba351a8fcc01079c7c4816c79e024a43f",
+        "b1caf40c090eccdf27ff297435f69e3007e4bffb0c609ee63034f06cbdadfb23",
+    ),
+    (33, 7): (
+        "72c69c7f7a9adbb74f1f762149e02e81b0e6d1356d01450fb90dbf48ae76ace0",
+        "956a53012e321c676d6f17c816152194dbd64bc4ba3270bfb3a11ecb13c2f72b",
+    ),
+    (33, 100): (
+        "6bacd20351f09225f60893daedffce63c11c8c0782fd4de6d8345a8ca7ab2d67",
+        "45c19ec6b10f16089fcfbc7a3f6e386a83b6b146057f3807d95e05d32b8953e6",
+    ),
+    (33, 1000): (
+        "2be1cbf40c957fb00bb2029bca7816f1c3476aad7a564b776494c725ee64d45a",
+        "4c15803e316f43f67183ab1c6b481f67b3286a1ed2109550a8a75812fe3016bc",
+    ),
+    (33, 4097): (
+        "c98d2e8570f1440fb080ecca85bd052a4e10c4b201f1b457d63e616cf7c8a1eb",
+        "96dba7870fc07836fe88f9875d65f5895193e702245478f7d32d814705cdc526",
+    ),
+}
+
+# The same two digests for one solve against AdversaryLinkOracle(n).
+ADVERSARY_PINNED = {
+    64: (
+        "3990ab6e7c6be42dd601b63bcaa59bfa9335fda7a17d523a3deb65ac40d04016",
+        "0999ddb4d93b79a9edb8cea2a387f7d2f1a963212c69dcbdca1408951fd0032e",
+    ),
+    1000: (
+        "bf04be4ae1ba1503e7ae2a575f3d194d8a08508d2499485e582b498018c3589f",
+        "859aa9da33dabdf445e361283ae6e52ade870aeda7e548edcfd18bd362118365",
+    ),
+}
+
+
+def _digests(oracle, kf, transcripts, outcomes):
+    result = solve_parallel_links(oracle, kf)
+    buf = io.StringIO()
+    oracle.ledger.dump_jsonl(buf)
+    transcripts.update(buf.getvalue().encode())
+    outcomes.update(repr((result.loads, result.checkpoints, result.traces)).encode())
+
+
+class TestPinnedTranscripts:
+    @pytest.mark.parametrize("cell", sorted(GRID_PINNED))
+    def test_step_grid(self, cell):
+        m, n = cell
+        transcripts, outcomes = hashlib.sha256(), hashlib.sha256()
+        for seed in range(4):
+            for kf in (None, 3):
+                oracle = CongestionOracle(gen_random_step_links(m, n, seed))
+                _digests(oracle, kf, transcripts, outcomes)
+        assert (transcripts.hexdigest(), outcomes.hexdigest()) == GRID_PINNED[cell]
+
+    @pytest.mark.parametrize("n", sorted(ADVERSARY_PINNED))
+    def test_adversary(self, n):
+        transcripts, outcomes = hashlib.sha256(), hashlib.sha256()
+        _digests(AdversaryLinkOracle(n), None, transcripts, outcomes)
+        assert (transcripts.hexdigest(), outcomes.hexdigest()) == ADVERSARY_PINNED[n]
+
+    def test_cli_trace(self, tmp_path):
+        out = tmp_path / "result.json"
+        argv = ["solve", "parallel-links", "--gen", "step:m=8,n=4096,seed=1",
+                "--emit-trace", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        zeros = [0] * 8
+        assert json.loads(out.read_text()) == {
+            "loads": [0, 0, 0, 0, 4096, 0, 0, 0],
+            "special_link": 4,
+            "queries_used": 56,
+            "query_bound": 625,
+            "verified": True,
+            "phases": [
+                {"delta": delta, "moved_groups": 0, "removed": zeros, "added": zeros}
+                for delta in (2187, 729, 243, 81, 27, 9, 3, 1)
+            ],
+        }

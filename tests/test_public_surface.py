@@ -13,7 +13,7 @@ ALLOWED = {
     "DeviationReport", "GellSpec", "GraphicalGame", "HalfNeResult",
     "InvalidProfile", "InvalidSpec", "LearnedGraphicalGame", "LinkLoads",
     "LoadOutOfRange", "MixedProfile", "Network", "NotADag", "ParallelLinksResult",
-    "PartialCostFunction", "PathSelectionFailed", "PhasePlan",
+    "PartialCostFunction", "PathSelectionFailed",
     "PotentialNotDecreasing", "PqlabError", "PurePayoffOracle", "QueryLedger",
     "StepLinkSpec", "TooLarge", "adversary_query", "bimatrix_payoffs",
     "brute_force_pure_ne", "build_probe_set", "check_equivalence", "choose_p1_p3",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqlab import InvalidSpec, MixedProfile
+from pqlab import InvalidProfile, InvalidSpec, MixedProfile
 from pqlab.instances import (
     GellSpec,
     gen_G_ell,
@@ -84,3 +84,15 @@ def test_congestion_profile_notation_round_trips():
 def test_load_assignment_round_trip():
     loads = {(0,): 2, (1,): 0}
     assert loads_from_dict(loads_to_dict(loads)) == loads
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [{"type": "loads", "loads": []}],
+        {"type": "loads", "loads": [{"path": [0], "count": None}]},
+    ],
+)
+def test_malformed_load_assignment_is_invalid_profile(document):
+    with pytest.raises(InvalidProfile):
+        loads_from_dict(document)

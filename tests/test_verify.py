@@ -127,26 +127,36 @@ class TestCheckEquivalence:
     def test_diamond_alternative_tables_equivalent(self):
         game = diamond(players=1, f_a=1, f_b=1, f_c=0, f_d=0)
         other = {0: [F(0)] * 2, 1: [F(0)] * 2, 2: [F(1)] * 2, 3: [F(1)] * 2}
-        ok, counterexample = check_equivalence(other, game.cost, game, 1)
+        ok, counterexample = check_equivalence(other, game.cost, game)
         assert ok and counterexample is None
 
     def test_reflexive(self):
         game = gen_random_dag(5, 7, 2, seed=3)
-        ok, _ = check_equivalence(game.cost, game.cost, game, 2)
+        ok, _ = check_equivalence(game.cost, game.cost, game)
         assert ok
 
     def test_mutation_detected(self):
         game = diamond(players=2, f_a=1, f_b=1, f_c=0, f_d=0)
         mutated = {e: list(t) for e, t in game.cost.items()}
         mutated[2][1] += 1
-        ok, counterexample = check_equivalence(mutated, game.cost, game, 2)
+        ok, counterexample = check_equivalence(mutated, game.cost, game)
         assert not ok
         assert counterexample is not None and 2 in counterexample["path"]
 
     def test_sampled_mode(self):
         game = gen_random_dag(6, 9, 3, seed=5)
-        ok, _ = check_equivalence(game.cost, game.cost, game, 3, mode="sampled")
+        ok, _ = check_equivalence(game.cost, game.cost, game, mode="sampled")
         assert ok
+
+    def test_sampled_mode_draws_every_player(self):
+        # The tables differ only at load n = 2, which only profiles of both
+        # players can reach.
+        game = parallel_links_game([[0, 1, 2], [0, 3, 4]], 2)
+        mutated = {e: list(t) for e, t in game.cost.items()}
+        mutated[0][2] += 1
+        ok, counterexample = check_equivalence(mutated, game.cost, game, mode="sampled")
+        assert not ok
+        assert counterexample["profile"] == {(0,): 2}
 
 
 class TestExactNe2x2:
