@@ -50,7 +50,6 @@ from .games import (
     parallel_links_game,
     regret,
     strategy_costs,
-    topological_order,
     validate_profile,
 )
 from .graphical import LearnedGraphicalGame, build_probe_set, learn_graphical, probe_set_size

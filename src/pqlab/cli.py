@@ -238,7 +238,7 @@ def _cmd_learn_dag(args) -> int:
     oracle = CongestionOracle(game, max_queries=args.budget)
     reduced_game, cmap = dag.preprocess_contract(game)
     view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    learned = dag.learn_costs(view, cmap.reduced)
+    learned = dag.learn_costs(view)
     equivalent, counterexample = verify.check_equivalence(
         learned.as_tables(), reduced_game.cost, reduced_game,
         mode=args.verify_mode,
@@ -282,6 +282,10 @@ def _cmd_verify(args) -> int:
         ok = report.is_equilibrium
     elif isinstance(game, BimatrixGame):
         if isinstance(profile, tuple):
+            if len(profile) != 2:
+                raise InvalidProfile(
+                    f"a bimatrix pure profile has 2 strategies, got {len(profile)}"
+                )
             profile = MixedProfile.pure(profile[0], profile[1], game.rows, game.cols)
         if not isinstance(profile, MixedProfile):
             raise InvalidProfile("a bimatrix game needs a pure or mixed profile")

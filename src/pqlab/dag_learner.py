@@ -12,6 +12,8 @@ once; their paths are planned once per network and replayed at every level.
 One pass per network finds the edges on every path to and from each vertex,
 which gives both the dependent pairs and the bridges.  A pure equilibrium is
 found by potential descent and maps back through contraction.
+The learner reads its network from the oracle: after contraction, the
+ContractedOracle's reduced one.
 """
 
 from __future__ import annotations
@@ -503,17 +505,17 @@ def _query_and_extract(
     f.define(target, target_load, response[one_path] - known)
 
 
-def learn_one_player(oracle, net: Network | None = None) -> PartialCostFunction:
+def learn_one_player(oracle) -> PartialCostFunction:
     """Partial equivalent cost function with every load-1 value defined.
 
-    Vertices are processed in topological order.  At an interior vertex the
-    cheapest in-edge (through a fixed continuation path) is declared free
-    and the others are priced relative to it; the slack this hides is pushed
-    onto the vertex's out-edges, which keeps all route costs intact.  At the
-    destination the absolute values are pinned down.  One query per edge.
+    The oracle's vertices are processed in topological order.  At an
+    interior vertex the cheapest in-edge (through a fixed continuation path)
+    is declared free and the others are priced relative to it; the slack
+    this hides is pushed onto the vertex's out-edges, which keeps all route
+    costs intact.  At the destination the absolute values are pinned down.
+    One query per edge of the oracle's network.
     """
-    if net is None:
-        net = oracle.network
+    net = oracle.network
     f = PartialCostFunction(net.edges, oracle.players)
     before = oracle.ledger.count
     for kv in net.topological_order():
@@ -552,10 +554,10 @@ def learn_one_player(oracle, net: Network | None = None) -> PartialCostFunction:
     return f
 
 
-def learn_level(
-    oracle, net: Network, f: PartialCostFunction, level: int
-) -> PartialCostFunction:
-    """Extend f from loads <= level to loads <= level + 1 in |E| queries."""
+def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFunction:
+    """Extend f from loads <= level to level + 1 in |E| queries on the
+    oracle's network, replaying that network's one query plan."""
+    net = oracle.network
     if not 1 <= level < oracle.players:
         raise InvalidSpec(f"level must be in 1..n-1, got {level}")
     new_load = level + 1
@@ -638,19 +640,17 @@ def _two_paths_through_bridges(
     return pa, pb
 
 
-def learn_costs(oracle, net: Network | None = None) -> PartialCostFunction:
+def learn_costs(oracle) -> PartialCostFunction:
     """Full learning pass: |E| queries for load 1, then per level up to n.
 
-    The network must already be free of dependent edge pairs (contract
-    first); total ledger cost is exactly |E| * n.
+    The oracle's network must already be free of dependent edge pairs
+    (query through a ContractedOracle); total ledger cost is exactly |E| * n.
     """
-    if net is None:
-        net = oracle.network
-    if find_dependent_pair(net) is not None:
+    if find_dependent_pair(oracle.network) is not None:
         raise InvalidSpec("network still contains a dependent edge pair")
-    f = learn_one_player(oracle, net)
+    f = learn_one_player(oracle)
     for level in range(1, oracle.players):
-        learn_level(oracle, net, f, level)
+        learn_level(oracle, f, level)
     if not f.is_total():
         raise AlgorithmInvariantViolated("learned cost function is not total")
     return f
@@ -741,10 +741,10 @@ class DagSolveResult:
 def solve_dag_game(oracle) -> DagSolveResult:
     """Contract, learn an equivalent cost function, and compute a pure NE."""
     before = oracle.ledger.count
-    reduced_net, cmap = contract_network(oracle.network)
+    _, cmap = contract_network(oracle.network)
     view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    f = learn_costs(view, reduced_net)
-    reduced_profile = solve_learned_game(f, reduced_net, oracle.players)
+    f = learn_costs(view)
+    reduced_profile = solve_learned_game(f, cmap.reduced, oracle.players)
     profile = cmap.map_profile_back(reduced_profile)
     return DagSolveResult(
         profile=profile,

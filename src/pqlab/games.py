@@ -7,6 +7,7 @@ edge ids. All types are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,7 +186,9 @@ class Network:
 
     Edges carry stable integer ids so parallel edges stay distinguishable.
     Construction rejects cyclic graphs and requires every vertex to lie on
-    some origin-destination path; use :meth:`build` to prune instead.
+    some origin-destination path; use :meth:`build` to prune instead.  The
+    structure never changes, so the constructor works out the adjacency and
+    the topological order once.
     """
 
     __slots__ = ("vertices", "edges", "origin", "destination", "__dict__")
@@ -203,7 +206,29 @@ class Network:
         }
         self.origin = int(origin)
         self.destination = int(destination)
-        self._validate()
+        if self.origin == self.destination:
+            raise InvalidSpec("origin and destination must differ")
+        out: dict[int, list[int]] = {v: [] for v in self.vertices}
+        inc: dict[int, list[int]] = {v: [] for v in self.vertices}
+        if self.origin not in out or self.destination not in out:
+            raise InvalidSpec("origin/destination not in vertex set")
+        for e, (t, h) in self.edges.items():
+            if t not in out or h not in out:
+                raise InvalidSpec(f"edge {e} has endpoint outside the vertex set")
+            out[t].append(e)
+            inc[h].append(e)
+        self.out_edges = {v: tuple(es) for v, es in out.items()}
+        self.in_edges = {v: tuple(es) for v, es in inc.items()}
+        self._order = self._kahn()
+        from_o = {self.origin}
+        for v in self._order:
+            if v in from_o:
+                from_o.update(self.edges[e][1] for e in self.out_edges[v])
+        stranded = set(self.vertices) - (from_o & self._reaching(self.destination))
+        if stranded:
+            raise InvalidSpec(
+                f"vertices {sorted(stranded)} lie on no origin-destination path"
+            )
 
     @classmethod
     def build(
@@ -234,69 +259,17 @@ class Network:
         }
         return cls(keep, kept_edges, origin, destination)
 
-    def _validate(self) -> None:
-        if self.origin == self.destination:
-            raise InvalidSpec("origin and destination must differ")
-        vs = set(self.vertices)
-        if self.origin not in vs or self.destination not in vs:
-            raise InvalidSpec("origin/destination not in vertex set")
-        for e, (t, h) in self.edges.items():
-            if t not in vs or h not in vs:
-                raise InvalidSpec(f"edge {e} has endpoint outside the vertex set")
-        self.topological_order()  # raises NotADag on a cycle
-        from_o = _closure({self.origin}, self._fwd)
-        to_d = _closure({self.destination}, self._bwd)
-        stranded = vs - (from_o & to_d)
-        if stranded:
-            raise InvalidSpec(
-                f"vertices {sorted(stranded)} lie on no origin-destination path"
-            )
-
-    @cached_property
-    def _fwd(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for t, h in self.edges.values():
-            adj[t].add(h)
-        return adj
-
-    @cached_property
-    def _bwd(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for t, h in self.edges.values():
-            adj[h].add(t)
-        return adj
-
-    @cached_property
-    def out_edges(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            out[self.edges[e][0]].append(e)
-        return {v: tuple(es) for v, es in out.items()}
-
-    @cached_property
-    def in_edges(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            inc[self.edges[e][1]].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
-    def topological_order(self) -> tuple[int, ...]:
+    def _kahn(self) -> tuple[int, ...]:
         """Kahn's algorithm with lowest-vertex-id tie-breaking."""
-        import heapq
-
-        indeg = {v: 0 for v in self.vertices}
-        for _, h in self.edges.values():
-            indeg[h] += 1
+        indeg = {v: len(es) for v, es in self.in_edges.items()}
         ready = [v for v in self.vertices if indeg[v] == 0]
         heapq.heapify(ready)
         order: list[int] = []
-        fwd: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for t, h in self.edges.values():
-            fwd[t].append(h)
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for h in fwd[v]:
+            for e in self.out_edges[v]:
+                h = self.edges[e][1]
                 indeg[h] -= 1
                 if indeg[h] == 0:
                     heapq.heappush(ready, h)
@@ -304,9 +277,29 @@ class Network:
             raise NotADag("graph contains a directed cycle")
         return tuple(order)
 
+    def _reaching(
+        self, to: int, banned: frozenset[int] | set[int] = frozenset()
+    ) -> set[int]:
+        """Vertices with a path to ``to`` that avoids the banned edges.
+
+        One sweep back along the topological order settles the set, because
+        the order lists every edge's head after its tail.
+        """
+        reach = {to}
+        for v in reversed(self._order[: self.topo_position[to]]):
+            if any(
+                e not in banned and self.edges[e][1] in reach for e in self.out_edges[v]
+            ):
+                reach.add(v)
+        return reach
+
+    def topological_order(self) -> tuple[int, ...]:
+        """The lowest-vertex-id-first topological order."""
+        return self._order
+
     @cached_property
     def topo_position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.topological_order())}
+        return {v: i for i, v in enumerate(self._order)}
 
     def least_path(
         self, frm: int, to: int, banned_edges: frozenset[int] | set[int] = frozenset()
@@ -317,7 +310,7 @@ class Network:
         lexicographic minimum because edge-id sequences are compared
         position by position.
         """
-        can_reach = self._reaches(to, frozenset(banned_edges))
+        can_reach = self._reaching(to, banned_edges)
         if frm not in can_reach:
             return None
         path: list[int] = []
@@ -334,20 +327,6 @@ class Network:
             else:  # pragma: no cover - can_reach guarantees progress
                 return None
         return tuple(path)
-
-    def _reaches(self, to: int, banned: frozenset[int]) -> set[int]:
-        seen = {to}
-        queue = deque([to])
-        while queue:
-            v = queue.popleft()
-            for e in self.in_edges[v]:
-                if e in banned:
-                    continue
-                t = self.edges[e][0]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return seen
 
     def validate_path(self, path: Path) -> None:
         """Raise InvalidProfile unless path is an origin-destination path."""
@@ -494,15 +473,9 @@ def _network_of(game: "CongestionGame | Network") -> Network:
     return game.network if isinstance(game, CongestionGame) else game
 
 
-def topological_order(game: "CongestionGame | Network") -> tuple[int, ...]:
-    """Deterministic topological ordering of the game's vertices."""
-    return _network_of(game).topological_order()
-
-
 def enumerate_paths(game: "CongestionGame | Network") -> tuple[Path, ...]:
     """All origin-destination paths, lexicographic by edge-id sequence."""
     net = _network_of(game)
-    can_reach = net._reaches(net.destination, frozenset())
     paths: list[Path] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(net.origin, ())]
     while stack:
@@ -510,10 +483,10 @@ def enumerate_paths(game: "CongestionGame | Network") -> tuple[Path, ...]:
         if v == net.destination:
             paths.append(prefix)
             continue
-        # Reverse so that the smallest edge id is explored first.
+        # Reverse so that the smallest edge id is explored first.  Every
+        # vertex reaches the destination, so no branch is a dead end.
         for e in reversed(net.out_edges[v]):
-            if net.edges[e][1] in can_reach:
-                stack.append((net.edges[e][1], prefix + (e,)))
+            stack.append((net.edges[e][1], prefix + (e,)))
     return tuple(paths)
 
 

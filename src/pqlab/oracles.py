@@ -46,6 +46,8 @@ class QueryLedger:
 
 
 class _Budgeted:
+    players: int
+
     def __init__(self, max_queries: int | None) -> None:
         self.ledger = QueryLedger()
         self._max_queries = max_queries
@@ -54,6 +56,18 @@ class _Budgeted:
         if self._max_queries is not None and self.ledger.count >= self._max_queries:
             raise BudgetExhausted(f"query budget of {self._max_queries} exhausted")
         self.ledger.record(query, response)
+
+    def _checked_loads(self, assignment: Mapping[Path, int]) -> dict[Path, int]:
+        """The assignment with tuple paths; each count must be an int in 0..n."""
+        checked: dict[Path, int] = {}
+        for path, count in assignment.items():
+            path = tuple(path)
+            if type(count) is not int or not 0 <= count <= self.players:
+                raise LoadOutOfRange(
+                    f"load {count!r} on {path} is not an integer in 0..{self.players}"
+                )
+            checked[path] = count
+        return checked
 
     def _charge_loads(
         self, assignment: Mapping[Path, int], response: Mapping[Path, Fraction]
@@ -119,12 +133,7 @@ class CongestionOracle(_Budgeted):
         Loads on distinct strategies apply simultaneously, so a single query
         prices every assigned path at once.
         """
-        assignment = {tuple(p): int(c) for p, c in assignment.items()}
-        for path, count in assignment.items():
-            if not 0 <= count <= self.players:
-                raise LoadOutOfRange(
-                    f"load {count} on {path} outside 0..{self.players}"
-                )
+        assignment = self._checked_loads(assignment)
         response = strategy_costs(self._game, assignment)
         self._charge_loads(assignment, response)
         return response
@@ -211,13 +220,9 @@ class AdversaryLinkOracle(_Budgeted):
         self.completion_history: list[int] = []
 
     def query_loads(self, assignment: Mapping[Path, int]) -> dict[Path, Fraction]:
-        assignment = {tuple(p): int(c) for p, c in assignment.items()}
-        for path, count in assignment.items():
+        assignment = self._checked_loads(assignment)
+        for path in assignment:
             self.network.validate_path(path)
-            if not 0 <= count <= self.players:
-                raise LoadOutOfRange(
-                    f"load {count} on {path} outside 0..{self.players}"
-                )
         x = assignment.get((0,), 0)
         c_step, c_const = adversary_query(self.state, x)
         response = {}

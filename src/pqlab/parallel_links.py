@@ -36,6 +36,14 @@ def default_group_factor(links: int) -> int:
     return max(2, (links - 1).bit_length())
 
 
+def _group_factor(group_factor: int | None, links: int) -> int:
+    """The given group factor, or the default for this many links; at least 2."""
+    kf = group_factor if group_factor is not None else default_group_factor(links)
+    if kf < 2:
+        raise InvalidSpec("group factor must be at least 2")
+    return kf
+
+
 @dataclass(frozen=True)
 class LinkLoads:
     """Player counts per link plus the special link whose load may be ragged."""
@@ -335,7 +343,9 @@ def refine_profile(
 ) -> LinkLoads:
     """One refinement pass: turn a (kf*delta)-equilibrium into a delta-one."""
     links = _link_paths(oracle)
-    kf = group_factor if group_factor is not None else default_group_factor(len(links))
+    kf = _group_factor(group_factor, len(links))
+    if delta < 1:
+        raise InvalidSpec("group size delta must be at least 1")
     cache = _ProbeCache(oracle, links)
     new_loads, _ = _refine_phase(cache, loads, delta, kf, oracle.players)
     return LinkLoads(new_loads, loads.special)
@@ -391,9 +401,7 @@ def solve_parallel_links(oracle, group_factor: int | None = None) -> ParallelLin
     links = _link_paths(oracle)
     m = len(links)
     n = oracle.players
-    kf = group_factor if group_factor is not None else default_group_factor(m)
-    if kf < 2:
-        raise InvalidSpec("group factor must be at least 2")
+    kf = _group_factor(group_factor, m)
     cache = _ProbeCache(oracle, links)
     before = oracle.ledger.count
 

@@ -38,6 +38,22 @@ def parse_rational(text: object) -> Fraction:
     raise InvalidSpec(f"not a rational: {text!r}")
 
 
+def _int(value: object) -> int:
+    """A JSON integer as is; a bool, a float or a string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _edge_key(key: str) -> int:
+    """A cost-table key: an edge id as JSON writes it, so "01" and "+1" are
+    not second spellings of edge 1."""
+    e = int(key)
+    if str(e) != key:
+        raise TypeError(f"expected a decimal edge id, got {key!r}")
+    return e
+
+
 def _document(error: type[PqlabError], what: str):
     """Parse a JSON object, reporting any other shape or a field of the wrong
     JSON type (a null, say) as ``error`` instead of a raw Python error."""
@@ -114,31 +130,31 @@ def game_from_dict(data: Mapping[str, Any]) -> BimatrixGame | GraphicalGame | Co
         in_neighbors = []
         tables = []
         for spec in data["payoff_tables"]:
-            in_neighbors.append(tuple(spec["neighbors"]))
+            in_neighbors.append(tuple(_int(q) for q in spec["neighbors"]))
             tables.append(
                 {
-                    (own, tuple(ctx)): parse_rational(v)
+                    (_int(own), tuple(_int(s) for s in ctx)): parse_rational(v)
                     for own, ctx, v in spec["entries"]
                 }
             )
         return GraphicalGame(
-            players=int(data["players"]),
-            strategies=int(data["strategies"]),
+            players=_int(data["players"]),
+            strategies=_int(data["strategies"]),
             in_neighbors=tuple(in_neighbors),
             payoff_tables=tuple(tables),
         )
     if kind == "congestion":
         net = Network(
-            data["vertices"],
-            {int(e): (int(t), int(h)) for e, t, h in data["edges"]},
-            int(data["origin"]),
-            int(data["destination"]),
+            [_int(v) for v in data["vertices"]],
+            {_int(e): (_int(t), _int(h)) for e, t, h in data["edges"]},
+            _int(data["origin"]),
+            _int(data["destination"]),
         )
         cost = {
-            int(e): [parse_rational(v) for v in table]
+            _edge_key(e): [parse_rational(v) for v in table]
             for e, table in data["cost_tables"].items()
         }
-        return CongestionGame(net, int(data["players"]), cost)
+        return CongestionGame(net, _int(data["players"]), cost)
     raise InvalidSpec(f"unknown game type {kind!r}")
 
 
@@ -174,14 +190,9 @@ def profile_from_dict(data: Mapping[str, Any]) -> object:
             [parse_rational(p) for p in data["col"]],
         )
     if kind == "congestion":
-        profile = {}
-        for entry in data["assignment"]:
-            if not isinstance(entry["path"], list):
-                raise InvalidProfile(f"path {entry['path']!r} is not a list of edge ids")
-            profile[tuple(entry["path"])] = int(entry["count"])
-        return profile
+        return _assignment(data["assignment"])
     if kind == "pure":
-        return tuple(int(s) for s in data["strategies"])
+        return tuple(_int(s) for s in data["strategies"])
     raise InvalidSpec(f"unknown profile kind {kind!r}")
 
 
@@ -198,7 +209,21 @@ def loads_to_dict(loads: Mapping[Path, int]) -> dict[str, Any]:
 def loads_from_dict(data: Mapping[str, Any]) -> dict[Path, int]:
     if data.get("type") != "loads":
         raise InvalidSpec("not a load-assignment document")
-    return {tuple(entry["path"]): int(entry["count"]) for entry in data["loads"]}
+    return _assignment(data["loads"])
+
+
+def _assignment(entries) -> dict[Path, int]:
+    """Path -> count from ``[{"path": [...], "count": c}, ...]``; a path
+    listed twice would hide a count, so it is rejected."""
+    assignment: dict[Path, int] = {}
+    for entry in entries:
+        if not isinstance(entry["path"], list):
+            raise InvalidProfile(f"path {entry['path']!r} is not a list of edge ids")
+        path = tuple(_int(e) for e in entry["path"])
+        if path in assignment:
+            raise InvalidProfile(f"path {list(path)} is listed twice")
+        assignment[path] = _int(entry["count"])
+    return assignment
 
 
 def dump_game(game, fp) -> None:

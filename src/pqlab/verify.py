@@ -28,6 +28,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_CAP = 10**6
+_SAMPLES = 200
+_SAMPLE_SEED = 0
 
 
 def _cap() -> int:
@@ -172,14 +174,12 @@ def check_equivalence(
     truth: Mapping[int, Sequence[Fraction]],
     game: CongestionGame,
     mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-    cap: int | None = None,
 ) -> tuple[bool, dict | None]:
     """Do two cost functions price every player of every profile identically?
 
-    Exhaustive mode enumerates all anonymous profiles (cap-guarded); sampled
-    mode draws seeded random profiles of game.players players.  Returns
+    Exhaustive mode enumerates all anonymous profiles (guarded by the cap,
+    the default or PQLAB_CAP); sampled mode draws 200 random profiles of
+    game.players players from a generator seeded with 0.  Returns
     (equivalent, counterexample) where the counterexample names the profile
     and the disagreeing path.
     """
@@ -187,11 +187,11 @@ def check_equivalence(
 
     paths = enumerate_paths(game)
     if mode == "exhaustive":
-        profiles = all_profiles(game, cap)
+        profiles = all_profiles(game)
     elif mode == "sampled":
-        rng = random.Random(seed)
+        rng = random.Random(_SAMPLE_SEED)
         profiles = []
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             profile: dict[Path, int] = {}
             for p in rng.choices(paths, k=game.players):
                 profile[p] = profile.get(p, 0) + 1

@@ -218,9 +218,54 @@ class TestVerifyCommand:
             ("step:m=2,n=4,seed=0", ("players",), None, "malformed game document"),
             ("random-graphical:n=3,k=2,d=1,seed=0", ("players",), None,
              "malformed game document"),
+            (
+                "step:m=2,n=2,seed=0",
+                (),
+                {"type": "profile", "kind": "congestion",
+                 "assignment": [{"path": [0], "count": 1.9},
+                                {"path": [1], "count": 1.2}]},
+                "malformed profile document",
+            ),
+            (
+                "step:m=2,n=2,seed=0",
+                (),
+                {"type": "profile", "kind": "congestion",
+                 "assignment": [{"path": [0.0], "count": 1},
+                                {"path": [1], "count": 1}]},
+                "malformed profile document",
+            ),
+            (
+                "pennies:k=2",
+                (),
+                {"type": "profile", "kind": "pure", "strategies": [True, 0]},
+                "malformed profile document",
+            ),
+            (
+                "step:m=2,n=2,seed=0",
+                (),
+                {"type": "profile", "kind": "congestion",
+                 "assignment": [{"path": [0], "count": 1},
+                                {"path": [0], "count": 1},
+                                {"path": [1], "count": 1}]},
+                "path [0] is listed twice",
+            ),
+            (
+                "pennies:k=2",
+                (),
+                {"type": "profile", "kind": "pure", "strategies": [0]},
+                "bimatrix pure profile has 2 strategies",
+            ),
+            (
+                "pennies:k=2",
+                (),
+                {"type": "profile", "kind": "pure", "strategies": [0, 0, 7]},
+                "bimatrix pure profile has 2 strategies",
+            ),
         ],
         ids=["profile-list", "null-count", "null-strategies", "null-row-payoff",
-             "null-cost-table", "null-congestion-players", "null-graphical-players"],
+             "null-cost-table", "null-congestion-players", "null-graphical-players",
+             "float-counts", "float-edge-id", "bool-strategy", "repeated-path",
+             "short-bimatrix-profile", "long-bimatrix-profile"],
     )
     def test_wrong_json_types_are_invalid_input(
         self, tmp_path, capsys, spec, nulled, profile, message
@@ -237,6 +282,63 @@ class TestVerifyCommand:
             profile = {"type": "profile", "kind": "pure", "strategies": [0, 0]}
         assert self._verify(tmp_path, game, profile) == EXIT_INVALID
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, field, value",
+        [
+            ("step:m=2,n=2,seed=0", ("players",), 2.9),
+            ("step:m=2,n=2,seed=0", ("players",), True),
+            ("step:m=2,n=2,seed=0", ("vertices", 1), "1"),
+            ("step:m=2,n=2,seed=0", ("origin",), 0.0),
+            ("step:m=2,n=2,seed=0", ("destination",), 1.0),
+            ("step:m=2,n=2,seed=0", ("edges", 1, 0), 1.0),
+            ("random-graphical:n=3,k=2,d=1,seed=0", ("players",), 3.0),
+            ("random-graphical:n=3,k=2,d=1,seed=0", ("strategies",), "2"),
+            ("random-graphical:n=3,k=2,d=1,seed=0",
+             ("payoff_tables", 0, "neighbors", 0), 2.0),
+            ("random-graphical:n=3,k=2,d=1,seed=0",
+             ("payoff_tables", 0, "entries", 0, 0), False),
+            ("random-graphical:n=3,k=2,d=1,seed=0",
+             ("payoff_tables", 0, "entries", 0, 1, 0), 0.0),
+        ],
+        ids=["float-players", "bool-players", "string-vertex", "float-origin",
+             "float-destination", "float-edge-tail", "float-graphical-players",
+             "string-strategies", "float-neighbor", "bool-own-strategy",
+             "float-neighbor-strategy"],
+    )
+    def test_integers_must_be_json_integers(
+        self, tmp_path, capsys, spec, field, value
+    ):
+        # Converting with int() would read 2.9 players as 2; only a JSON
+        # integer is an integer field.
+        game = serialize.game_to_dict(make_game(spec))
+        *outer, last = field
+        at = game
+        for key in outer:
+            at = at[key]
+        at[last] = value
+        profile = {
+            "type": "profile",
+            "kind": "congestion" if game["type"] == "congestion" else "pure",
+            "strategies": [0, 0, 0],
+            "assignment": [{"path": [0], "count": 1}, {"path": [1], "count": 1}],
+        }
+        assert self._verify(tmp_path, game, profile) == EXIT_INVALID
+        assert "expected a JSON integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
+    def test_cost_table_key_must_be_a_decimal_edge_id(self, tmp_path, capsys, key):
+        # "01" would otherwise be a second table for edge 1, and the last
+        # one read would win.
+        game = serialize.game_to_dict(make_game("step:m=2,n=2,seed=0"))
+        game["cost_tables"][key] = ["0", "0", "0"]
+        profile = {
+            "type": "profile",
+            "kind": "congestion",
+            "assignment": [{"path": [0], "count": 1}, {"path": [1], "count": 1}],
+        }
+        assert self._verify(tmp_path, game, profile) == EXIT_INVALID
+        assert "expected a decimal edge id" in capsys.readouterr().err
 
 
 class TestBench:

@@ -252,7 +252,7 @@ class TestLearnOnePlayer:
             net, cmap = contract_network(game.network)
             oracle = CongestionOracle(game)
             view = ContractedOracle(oracle, cmap)
-            f = learn_one_player(view, net)
+            f = learn_one_player(view)
             reduced, _ = preprocess_contract(game)
             for path in enumerate_paths(net):
                 want = sum(reduced.cost[e][1] for e in path)
@@ -296,10 +296,10 @@ class TestLearnLevels:
         net, cmap = contract_network(game.network)
         oracle = CongestionOracle(game)
         view = ContractedOracle(oracle, cmap)
-        f = learn_one_player(view, net)
+        f = learn_one_player(view)
         snapshots = [f.snapshot()]
         for level in range(1, game.players):
-            learn_level(view, net, f, level)
+            learn_level(view, f, level)
             snapshots.append(f.snapshot())
         for earlier, later in zip(snapshots, snapshots[1:]):
             for e, values in earlier.items():
@@ -316,7 +316,7 @@ class TestLearnLevels:
         oracle = CongestionOracle(game)
         f = learn_one_player(oracle)
         with pytest.raises(InvalidSpec):
-            learn_level(oracle, game.network, f, 2)
+            learn_level(oracle, f, 2)
 
 
 class TestQueryAccounting:
@@ -536,16 +536,16 @@ class TestLevelPlanAndDescent:
         game = gen_random_dag(6, 10, 4, seed, subdivide=1)
         net, cmap = contract_network(game.network)
         whole = CongestionOracle(game)
-        f_whole = learn_costs(ContractedOracle(whole, cmap), net)
+        f_whole = learn_costs(ContractedOracle(whole, cmap))
         # A fresh copy of the network, so nothing built for the first run
         # is reused by the second.
         copy = gen_random_dag(6, 10, 4, seed, subdivide=1)
         net2, cmap2 = contract_network(copy.network)
         steps = CongestionOracle(game)
         view = ContractedOracle(steps, cmap2)
-        f_steps = learn_one_player(view, net2)
+        f_steps = learn_one_player(view)
         for level in range(1, game.players):
-            learn_level(view, net2, f_steps, level)
+            learn_level(view, f_steps, level)
         assert f_steps.snapshot() == f_whole.snapshot()
         assert transcript(steps) == transcript(whole)
 
@@ -553,10 +553,10 @@ class TestLevelPlanAndDescent:
         game = diamond(players=3)
         oracle = CongestionOracle(game)
         f = learn_one_player(oracle)
-        learn_level(oracle, game.network, f, 1)
+        learn_level(oracle, f, 1)
         before = oracle.ledger.count
         with pytest.raises(AlgorithmInvariantViolated):
-            learn_level(oracle, game.network, f, 1)
+            learn_level(oracle, f, 1)
         assert oracle.ledger.count == before
 
     def test_under_reported_best_response_is_caught(self, monkeypatch):
@@ -602,6 +602,26 @@ class TestLevelPlanAndDescent:
         networks = [cmap.original] + ([cmap.reduced] if cmap.steps else [])
         assert len(swept) == len(networks)
         assert all(a is b for a, b in zip(swept, networks))
+
+
+class TestTopologicalOrderOnce:
+    @pytest.mark.parametrize("subdivide", [0, 3])
+    def test_order_worked_out_once_per_network(self, monkeypatch, subdivide):
+        # Every network sorts its vertices when it is built; learning, the
+        # descent and the deviation check only read the stored order.
+        ordered = []
+        real = Network._kahn
+        monkeypatch.setattr(
+            Network, "_kahn", lambda net: ordered.append(net) or real(net)
+        )
+        game = gen_random_dag(6, 9, 2, seed=4, subdivide=subdivide)
+        result = solve_dag_game(CongestionOracle(game))
+        assert deviation_report(game, result.profile).is_equilibrium
+        cmap = result.contraction
+        assert bool(cmap.steps) == bool(subdivide)
+        assert len({id(net) for net in ordered}) == len(ordered)
+        assert any(net is cmap.original for net in ordered)
+        assert any(net is cmap.reduced for net in ordered)
 
 
 class TestContractionMapping:

@@ -20,7 +20,6 @@ from pqlab import (
     parallel_links_game,
     regret,
     strategy_costs,
-    topological_order,
     validate_profile,
 )
 from pqlab.instances import gen_matching_pennies, gen_G_ell, GellSpec, gen_random_bimatrix
@@ -196,7 +195,7 @@ class TestPathsAndOrder:
 
     def test_topological_order_diamond(self):
         game = diamond()
-        assert topological_order(game) == (0, 1, 2)
+        assert game.network.topological_order() == (0, 1, 2)
 
     def test_degenerate_single_vertex_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -224,6 +223,54 @@ class TestPathsAndOrder:
         )
         assert 3 not in net.vertices
         assert 2 not in net.edges
+
+    @pytest.mark.parametrize(
+        "vertices, edges, origin, destination",
+        [
+            ((0, 1, 2), {0: (0, 1), 1: (2, 1)}, 0, 1),
+            ((0, 1, 2), {0: (0, 1), 1: (0, 2)}, 0, 1),
+            ((0, 1), {0: (0, 1), 1: (0, 5)}, 0, 1),
+            ((0, 1), {0: (0, 1)}, 1, 1),
+            ((0, 1), {0: (0, 1)}, 0, 7),
+        ],
+        ids=["unreachable-from-origin", "cannot-reach-destination",
+             "endpoint-outside", "origin-is-destination", "destination-outside"],
+    )
+    def test_constructor_rejects_malformed_networks(
+        self, vertices, edges, origin, destination
+    ):
+        with pytest.raises(InvalidSpec):
+            Network(vertices, edges, origin, destination)
+
+
+def _all_paths(net, frm, to, banned):
+    """Every frm -> to path avoiding banned edges, by plain recursion."""
+    if frm == to:
+        return [()]
+    return [
+        (e,) + rest
+        for e, (t, h) in net.edges.items()
+        if t == frm and e not in banned
+        for rest in _all_paths(net, h, to, banned)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_least_path_is_the_least_path_avoiding_banned_edges(seed):
+    import random
+
+    from pqlab.instances import gen_random_dag
+
+    net = gen_random_dag(7, 13, 1, seed).network
+    rng = random.Random(seed)
+    for _ in range(8):
+        k = rng.randint(0, min(4, len(net.edges)))
+        banned = set(rng.sample(sorted(net.edges), k))
+        for frm in net.vertices:
+            for to in net.vertices:
+                paths = _all_paths(net, frm, to, banned)
+                want = min(paths) if paths else None
+                assert net.least_path(frm, to, banned) == want
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))

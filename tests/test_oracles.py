@@ -238,6 +238,31 @@ class TestAdversary:
         assert oracle.completion_history[0] == 8
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CongestionOracle(parallel_links_game([[0, 1, 2], [0, 5, 6]], 2)),
+     lambda: AdversaryLinkOracle(2)],
+    ids=["congestion", "adversary"],
+)
+@pytest.mark.parametrize("count", [1.5, 1.0, True, "1", None])
+def test_count_that_is_not_an_int_is_rejected_and_not_counted(make, count):
+    # A count that is not an int must not be rounded into a charged query.
+    oracle = make()
+    with pytest.raises(LoadOutOfRange):
+        oracle.query_loads({(0,): 1, (1,): count})
+    with pytest.raises(LoadOutOfRange):
+        oracle.query_loads({(0,): count})
+    assert oracle.ledger.count == 0
+
+
+def test_adversary_rejects_a_non_int_count_before_answering():
+    oracle = AdversaryLinkOracle(16)
+    with pytest.raises(LoadOutOfRange):
+        oracle.query_loads({(0,): 8.0})
+    assert (oracle.state.lower, oracle.state.upper) == (0, 16)
+    assert oracle.completion_history == []
+
+
 @given(st.integers(2, 2**16), st.lists(st.integers(0, 2**16), max_size=30))
 def test_gap_lower_bound_property(n, xs):
     state = AdversaryState(n)

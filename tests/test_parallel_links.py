@@ -90,6 +90,18 @@ class TestRefineProfile:
         assert out.loads == (2, 2)
         assert is_delta_equilibrium(link_tables(game), out.loads, 2, 0)
 
+    @pytest.mark.parametrize(
+        "delta, group_factor", [(1, 0), (1, -3), (1, 1), (0, 2), (-1, 2)]
+    )
+    def test_bad_group_sizes_rejected_before_any_query(self, delta, group_factor):
+        # A group factor below 2 cannot shrink the group size, and a group
+        # size below 1 moves nobody.
+        game = parallel_links_game([[1, 1, 1, 1, 1], [0, 0, 0, 2, 2]], 4)
+        oracle = CongestionOracle(game)
+        with pytest.raises(InvalidSpec):
+            refine_profile(oracle, LinkLoads((4, 0), 0), delta, group_factor)
+        assert oracle.ledger.count == 0
+
 
 def solve_and_check(game, kf=None):
     oracle = CongestionOracle(game)

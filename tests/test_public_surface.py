@@ -27,7 +27,7 @@ ALLOWED = {
     "parallel_links_game", "preprocess_contract", "probe_set_size",
     "refine_profile", "regret", "solve_dag_game", "solve_learned_game",
     "solve_parallel_links", "step_link_game", "strategy_costs",
-    "tiebreak_best_response", "topological_order", "two_edge_disjoint_paths",
+    "tiebreak_best_response", "two_edge_disjoint_paths",
     "uniform_profile", "validate_profile",
 }
 

@@ -91,6 +91,9 @@ def test_load_assignment_round_trip():
     [
         [{"type": "loads", "loads": []}],
         {"type": "loads", "loads": [{"path": [0], "count": None}]},
+        {"type": "loads", "loads": [{"path": [0], "count": 1.5}]},
+        {"type": "loads", "loads": [{"path": [0], "count": 1},
+                                    {"path": [0], "count": 2}]},
     ],
 )
 def test_malformed_load_assignment_is_invalid_profile(document):
