@@ -8,12 +8,14 @@ edge ids. All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
+import operator
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InvalidProfile, InvalidSpec, LoadOutOfRange, NotADag
 
@@ -376,11 +378,74 @@ def _closure(start: set[int], adj: Mapping[int, set[int]]) -> set[int]:
     return seen
 
 
+class StepTable(Sequence):
+    """Piecewise-constant cost table over loads 0..n, kept as its breakpoints.
+
+    ``values[k]`` is the cost at every load from ``starts[k]`` up to the next
+    breakpoint, so the table costs O(pieces) to build and store whatever n
+    is.  It reads like the dense tuple it stands for: indexing (a bisect),
+    ``len`` (n + 1), iteration, slices (tuples) and equality with any other
+    sequence go by entries.  Adjacent equal values are merged, so equal
+    tables have equal breakpoints.
+    """
+
+    __slots__ = ("starts", "values", "_size")
+
+    def __init__(self, steps: Iterable[tuple[int, object]], players: int) -> None:
+        starts: list[int] = []
+        values: list[Fraction] = []
+        last = -1
+        for start, value in steps:
+            if start <= last or (last < 0 and start != 0):
+                raise InvalidSpec(
+                    "step thresholds must start at 0 and strictly increase"
+                )
+            if start > players:
+                raise InvalidSpec(f"step threshold {start} is above n={players}")
+            last = start
+            value = Fraction(value)  # type: ignore[arg-type]
+            if not values or value != values[-1]:
+                starts.append(start)
+                values.append(value)
+        if not starts:
+            raise InvalidSpec("a step table needs at least one step")
+        self.starts: tuple[int, ...] = tuple(starts)
+        self.values: tuple[Fraction, ...] = tuple(values)
+        self._size = players + 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, load):
+        if isinstance(load, slice):
+            return tuple(map(self.__getitem__, range(*load.indices(self._size))))
+        load = operator.index(load)
+        if load < 0:
+            load += self._size
+        if not 0 <= load < self._size:
+            raise IndexError("step table index out of range")
+        return self.values[bisect_right(self.starts, load) - 1]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StepTable):
+            return (self._size, self.starts, self.values) == (
+                other._size, other.starts, other.values
+            )
+        if isinstance(other, Sequence):
+            return len(other) == self._size and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        steps = ", ".join(f"({t}, {v})" for t, v in zip(self.starts, self.values))
+        return f"StepTable([{steps}], n={self._size - 1})"
+
+
 class CongestionGame:
     """Symmetric network congestion game on a DAG (or parallel links).
 
-    Cost tables are explicit per-edge lookup tables over loads 0..n; a table
-    that decreases anywhere is rejected.
+    Cost tables are per-edge lookup tables over loads 0..n: a tuple of every
+    entry, or a :class:`StepTable` of breakpoints; a table that decreases
+    anywhere is rejected.
     """
 
     __slots__ = ("network", "players", "cost")
@@ -395,7 +460,7 @@ class CongestionGame:
             raise InvalidSpec("congestion game needs at least one player")
         self.network = network
         self.players = int(players)
-        tables: dict[int, tuple[Fraction, ...]] = {}
+        tables: dict[int, Sequence[Fraction]] = {}
         for e in sorted(network.edges):
             if e not in cost:
                 raise InvalidSpec(f"edge {e} has no cost table")
@@ -404,14 +469,14 @@ class CongestionGame:
                 raise InvalidSpec(
                     f"edge {e} cost table must have {players + 1} entries (loads 0..n)"
                 )
-            # Keep Fraction objects as-is: generators alias repeated values,
-            # which keeps huge piecewise-constant tables cheap to validate.
-            table = tuple(
-                v if isinstance(v, Fraction) else Fraction(v) for v in raw  # type: ignore[arg-type]
-            )
+            if isinstance(raw, StepTable):
+                table, levels = raw, raw.values
+            else:
+                table = levels = tuple(
+                    v if isinstance(v, Fraction) else Fraction(v) for v in raw  # type: ignore[arg-type]
+                )
             prev = None
-            for _, group in groupby(table, key=id):
-                v = next(group)
+            for v in levels:
                 if v < _ZERO:
                     raise InvalidSpec(f"edge {e} cost table has a negative entry")
                 if prev is not None and v < prev:
@@ -462,7 +527,7 @@ def parallel_links_game(tables: Sequence[Sequence[object]], players: int) -> Con
     return CongestionGame(net, players, {i: t for i, t in enumerate(tables)})
 
 
-def link_tables(game: CongestionGame) -> list[tuple[Fraction, ...]]:
+def link_tables(game: CongestionGame) -> list[Sequence[Fraction]]:
     """Cost tables of a parallel-links game, in edge-id order."""
     if not game.is_parallel_links:
         raise InvalidSpec("game is not a parallel-links game")

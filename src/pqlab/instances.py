@@ -6,7 +6,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InvalidSpec
 from .games import (
@@ -14,6 +13,7 @@ from .games import (
     CongestionGame,
     GraphicalGame,
     Network,
+    StepTable,
     parallel_links_game,
 )
 
@@ -132,25 +132,17 @@ def gen_modified_for_row(game: BimatrixGame, row: int, queried_cols: set[int]) -
     return BimatrixGame(new_row, game.col_payoff)
 
 
-def step_table(levels: Sequence[tuple[int, Fraction]], players: int) -> list[Fraction]:
-    """Expand (threshold, value) pairs into a dense table for loads 0..players.
-
-    Runs of equal values share one Fraction object, so tables stay cheap
-    even for very large player counts.
-    """
-    table: list[Fraction] = []
-    for idx, (threshold, value) in enumerate(levels):
-        if threshold > players:
-            break
-        end = levels[idx + 1][0] if idx + 1 < len(levels) else players + 1
-        table.extend([Fraction(value)] * (min(end, players + 1) - threshold))
-    return table
-
-
 def gen_step_links(spec: StepLinkSpec) -> CongestionGame:
-    """Parallel-links game with the given per-link step tables."""
-    tables = [step_table(levels, spec.players) for levels in spec.steps]
-    return parallel_links_game(tables, spec.players)
+    """Parallel-links game with the given per-link step tables.
+
+    Each link's table is built from its breakpoints; thresholds above n
+    never apply and are left out.
+    """
+    n = spec.players
+    tables = [
+        StepTable([(t, v) for t, v in levels if t <= n], n) for levels in spec.steps
+    ]
+    return parallel_links_game(tables, n)
 
 
 def gen_random_step_links(links: int, players: int, seed: int) -> CongestionGame:

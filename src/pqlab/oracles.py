@@ -20,7 +20,9 @@ from .games import (
     GraphicalGame,
     Network,
     Path,
+    StepTable,
     bimatrix_payoffs,
+    parallel_links_game,
     strategy_costs,
 )
 
@@ -195,12 +197,13 @@ def consistent_completions(state: AdversaryState) -> range:
 
 
 def step_link_game(n: int, step_at: int) -> CongestionGame:
-    """The committed two-link game: step link (id 0) plus constant link (id 1)."""
-    step = [Fraction(0)] * (min(step_at, n) + 1) + [Fraction(2)] * (n - step_at)
-    const = [Fraction(1)] * (n + 1)
-    from .games import parallel_links_game
+    """The committed two-link game: step link (id 0) plus constant link (id 1).
 
-    return parallel_links_game([step, const], n)
+    Both tables are breakpoints, so committing costs O(1) whatever n is.
+    """
+    rise = [(step_at + 1, Fraction(2))] if step_at < n else []
+    step = StepTable([(0, Fraction(0)), *rise], n)
+    return parallel_links_game([step, StepTable([(0, Fraction(1))], n)], n)
 
 
 class AdversaryLinkOracle(_Budgeted):

@@ -20,6 +20,7 @@ which can only lower the query count.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -101,14 +102,19 @@ def is_delta_equilibrium(
     for i in range(m):
         if i != special and loads[i] % delta:
             return False
+    # A group leaving link i pays least on the cheapest other link to join,
+    # so the two cheapest join costs settle every link: O(m) table reads.
+    joins = heapq.nsmallest(
+        2,
+        ((tables[j][loads[j] + delta], j) for j in range(m) if loads[j] + delta <= n),
+        key=itemgetter(0),
+    )
     for i in range(m):
         if loads[i] < delta:
             continue
-        cost_i = tables[i][loads[i]]
-        for j in range(m):
-            target = loads[j] + delta
-            if j != i and target <= n and tables[j][target] < cost_i:
-                return False
+        best = next((cost for cost, j in joins if j != i), None)
+        if best is not None and best < tables[i][loads[i]]:
+            return False
     return True
 
 

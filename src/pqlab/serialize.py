@@ -20,6 +20,7 @@ from .games import (
     MixedProfile,
     Network,
     Path,
+    StepTable,
 )
 
 
@@ -78,6 +79,33 @@ def _table_out(table) -> list[list[str]]:
     return [[format_rational(v) for v in row] for row in table]
 
 
+def _cost_table_out(table) -> list[str] | dict[str, list]:
+    if isinstance(table, StepTable):
+        return {
+            "steps": [
+                [t, format_rational(v)] for t, v in zip(table.starts, table.values)
+            ]
+        }
+    return [format_rational(v) for v in table]
+
+
+def _cost_table_in(edge: str, table, players: int):
+    """A dense list of entries, or ``{"steps": [[threshold, value], ...]}``."""
+    if isinstance(table, list):
+        return [parse_rational(v) for v in table]
+    if not isinstance(table, Mapping) or list(table) != ["steps"]:
+        raise TypeError(f"edge {edge}: a cost table is a list or a steps object")
+    steps = []
+    for step in table["steps"]:
+        if not isinstance(step, list) or len(step) != 2:
+            raise TypeError(f"edge {edge}: a step is [threshold, value], got {step!r}")
+        steps.append((_int(step[0]), parse_rational(step[1])))
+    try:
+        return StepTable(steps, players)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"edge {edge}: {exc}") from exc
+
+
 def game_to_dict(game: BimatrixGame | GraphicalGame | CongestionGame) -> dict[str, Any]:
     if isinstance(game, BimatrixGame):
         return {
@@ -111,8 +139,7 @@ def game_to_dict(game: BimatrixGame | GraphicalGame | CongestionGame) -> dict[st
             "destination": game.destination,
             "edges": [[e, t, h] for e, (t, h) in sorted(game.edges.items())],
             "cost_tables": {
-                str(e): [format_rational(v) for v in game.cost[e]]
-                for e in sorted(game.edges)
+                str(e): _cost_table_out(game.cost[e]) for e in sorted(game.edges)
             },
         }
     raise InvalidSpec(f"unknown game object {game!r}")
@@ -150,11 +177,12 @@ def game_from_dict(data: Mapping[str, Any]) -> BimatrixGame | GraphicalGame | Co
             _int(data["origin"]),
             _int(data["destination"]),
         )
+        players = _int(data["players"])
         cost = {
-            _edge_key(e): [parse_rational(v) for v in table]
+            _edge_key(e): _cost_table_in(e, table, players)
             for e, table in data["cost_tables"].items()
         }
-        return CongestionGame(net, _int(data["players"]), cost)
+        return CongestionGame(net, players, cost)
     raise InvalidSpec(f"unknown game type {kind!r}")
 
 

@@ -341,6 +341,37 @@ class TestVerifyCommand:
         assert "expected a decimal edge id" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ([[1, "0"]], "start at 0"),
+            ([[0, "0"], [2, "1"], [2, "2"]], "strictly increase"),
+            ([[0, "0"], [2, "1"], [1, "2"]], "strictly increase"),
+            ([[0, "0"], [3, "1"]], "above n=2"),
+            ([[0, "2"], [1, "1"]], "cost table is decreasing"),
+            ([[0, "-1"]], "negative entry"),
+            ([[0, "0"], [1.0, "1"]], "expected a JSON integer"),
+            ([[0, "0"], ["1", "1"]], "expected a JSON integer"),
+            ([[0, "0", "1"]], "a step is [threshold, value]"),
+            ([], "at least one step"),
+            ({"0": "0"}, "malformed game document"),
+        ],
+        ids=["first-not-zero", "repeated", "decreasing-threshold", "above-n",
+             "decreasing-value", "negative-value", "float-threshold",
+             "string-threshold", "long-step", "no-steps", "steps-not-a-list"],
+    )
+    def test_malformed_step_table_is_invalid_input(self, tmp_path, capsys, steps, message):
+        game = serialize.game_to_dict(make_game("step:m=2,n=2,seed=0"))
+        game["cost_tables"]["1"] = {"steps": steps}
+        profile = {
+            "type": "profile",
+            "kind": "congestion",
+            "assignment": [{"path": [0], "count": 1}, {"path": [1], "count": 1}],
+        }
+        assert self._verify(tmp_path, game, profile) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+
 class TestBench:
     def test_parallel_links_grid(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -22,6 +22,7 @@ from pqlab import (
     strategy_costs,
     validate_profile,
 )
+from pqlab.games import StepTable
 from pqlab.instances import gen_matching_pennies, gen_G_ell, GellSpec, gen_random_bimatrix
 from pqlab.verify import exact_ne_2x2
 
@@ -296,3 +297,99 @@ def test_costs_match_direct_summation_exhaustively():
             for path, count in profile.items():
                 if count:
                     assert costs[path] == sum(game.cost[e][loads[e]] for e in path)
+
+
+def _dense_step_table(levels, players):
+    """The dense expansion the generators used before StepTable, kept as the
+    reference: (threshold, value) pairs to a list over loads 0..players."""
+    table = []
+    for idx, (threshold, value) in enumerate(levels):
+        if threshold > players:
+            break
+        end = levels[idx + 1][0] if idx + 1 < len(levels) else players + 1
+        table.extend([Fraction(value)] * (min(end, players + 1) - threshold))
+    return table
+
+
+def _random_levels(rng, players):
+    """Breakpoints with runs of equal values and thresholds up to n + 3."""
+    thresholds = sorted(rng.sample(range(1, players + 4), rng.randint(0, 4)))
+    value = F(rng.randint(0, 3), rng.choice((1, 2)))
+    levels = [(0, value)]
+    for t in thresholds:
+        value += rng.choice((0, 0, F(1, 2), 2))
+        levels.append((t, value))
+    return levels
+
+
+class TestStepTable:
+    def test_matches_the_dense_expansion(self):
+        import random
+
+        from pqlab.instances import StepLinkSpec, gen_step_links
+
+        rng = random.Random(2024)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            levels = _random_levels(rng, n)
+            want = tuple(_dense_step_table(levels, n))
+            table = gen_step_links(StepLinkSpec(1, n, (tuple(levels),))).cost[0]
+            assert isinstance(table, StepTable)
+            assert table == StepTable([(t, v) for t, v in levels if t <= n], n)
+            assert len(table) == n + 1 == len(want)
+            assert tuple(table) == want and list(reversed(table)) == list(reversed(want))
+            assert all(table[k] == want[k] for k in range(-n - 1, n + 1))
+            for bad in (n + 1, -n - 2, 10**15):
+                with pytest.raises(IndexError):
+                    table[bad]
+            for sl in (slice(None), slice(1, None), slice(2, n), slice(None, None, -2),
+                       slice(-3, None), slice(n + 5, None)):
+                assert table[sl] == want[sl] and type(table[sl]) is tuple
+            assert table == want and want == table and table == list(want)
+            assert table != want[:-1] and table != want + (want[-1],)
+            assert all(a != b for a, b in zip(table.values, table.values[1:]))
+            assert len(table.starts) <= len(levels)
+
+    def test_equality_is_by_content(self):
+        merged = StepTable([(0, 1), (2, 1), (3, 2)], 4)
+        assert merged.starts == (0, 3) and merged.values == (1, 2)
+        assert merged == StepTable([(0, F(1)), (3, F(2))], 4)
+        assert merged != StepTable([(0, 1), (3, 2)], 5)
+        assert merged != StepTable([(0, 1), (2, 2)], 4)
+        assert merged == (1, 1, 1, 2, 2) and merged != (1, 1, 2, 2, 2)
+        assert merged != "abcde" and merged != 5
+
+    @pytest.mark.parametrize(
+        "steps, players",
+        [([], 3), ([(1, 0)], 3), ([(0, 0), (0, 1)], 3), ([(0, 0), (2, 1), (1, 2)], 3),
+         ([(0, 0), (2, 0), (1, 1)], 3), ([(0, 0), (4, 1)], 3), ([(0, 0), (4, 0)], 3)],
+        ids=["empty", "first-not-zero", "repeated", "decreasing-threshold",
+             "decreasing-after-merge", "above-n", "above-n-merged"],
+    )
+    def test_malformed_breakpoints_rejected(self, steps, players):
+        with pytest.raises(InvalidSpec):
+            StepTable(steps, players)
+
+    @pytest.mark.parametrize(
+        "dense, steps, message",
+        [
+            ([2, 1, 1], [(0, 2), (1, 1)], "edge 0 cost table is decreasing"),
+            ([-1, 0, 0], [(0, -1), (1, 0)], "edge 0 cost table has a negative entry"),
+            ([1, -1, -1], [(0, 1), (1, -1)], "edge 0 cost table has a negative entry"),
+        ],
+    )
+    def test_game_checks_breakpoints_with_the_dense_messages(self, dense, steps, message):
+        for table in (dense, StepTable(steps, 2)):
+            with pytest.raises(InvalidSpec, match=message):
+                parallel_links_game([table], 2)
+
+    def test_large_n_stores_breakpoints_only(self):
+        n = 2**40
+        table = StepTable([(0, 1), (n // 3, 2), (n, 5)], n)
+        game = parallel_links_game([table, StepTable([(0, 0)], n)], n)
+        assert len(game.cost[0]) == n + 1
+        assert game.cost[0][n // 3 - 1] == 1 and game.cost[0][-2] == 2
+        assert game.cost[0][n] == 5 and game.cost[1][n] == 0
+        assert strategy_costs(game, {(0,): n // 3, (1,): n - n // 3}) == {
+            (0,): 2, (1,): 0
+        }

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,51 @@ class TestDeltaEquilibrium:
         tables = [[0, 1, 1, 1], [0, 1, 1, 1]]
         assert not is_delta_equilibrium(tables, (1, 2), 2, 1)
         assert is_delta_equilibrium(tables, (1, 2), 2, 0)
+
+
+def _reference_delta_equilibrium(tables, loads, delta, special):
+    """The double loop is_delta_equilibrium ran before it kept the two
+    cheapest join costs: every loaded link against every other link."""
+    n = len(tables[0]) - 1
+    m = len(tables)
+    for i in range(m):
+        if i != special and loads[i] % delta:
+            return False
+    for i in range(m):
+        if loads[i] < delta:
+            continue
+        cost_i = tables[i][loads[i]]
+        for j in range(m):
+            target = loads[j] + delta
+            if j != i and target <= n and tables[j][target] < cost_i:
+                return False
+    return True
+
+
+def test_delta_equilibrium_matches_the_double_loop():
+    rng = random.Random(7)
+    verdicts = set()
+    for case in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 9)
+        if case % 2:
+            tables = link_tables(gen_random_step_links(m, n, rng.randrange(10**6)))
+        else:
+            # The check takes any tables; on decreasing ones a link's own
+            # join cost can undercut its cost, so the exclusion of i shows.
+            tables = [[rng.randint(0, 5) for _ in range(n + 1)] for _ in range(m)]
+        for delta in (1, 2, 3):
+            for special in range(m):
+                # Mostly multiples of delta, so the join comparison runs, and
+                # loads up to n, so loads[j] + delta > n comes up.
+                loads = [
+                    rng.randint(0, n) if i == special or rng.random() < 0.2
+                    else delta * rng.randint(0, n // delta)
+                    for i in range(m)
+                ]
+                want = _reference_delta_equilibrium(tables, loads, delta, special)
+                assert is_delta_equilibrium(tables, loads, delta, special) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 class TestPhasePlan:
@@ -179,6 +225,35 @@ class TestAgainstAdversary:
     def test_committed_game_confirms_equilibrium(self):
         oracle = AdversaryLinkOracle(512)
         result = solve_parallel_links(oracle)
+        game = oracle.committed_game()
+        assert is_delta_equilibrium(
+            link_tables(game), result.loads.loads, 1, result.loads.special
+        )
+
+
+class TestLargeN:
+    """n = 2^40: the tables are breakpoints, so only the queries cost."""
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_solve_within_bound(self, m):
+        n = 2**40
+        game = gen_random_step_links(m, n, seed=m)
+        tables = link_tables(game)
+        assert all(len(t) == n + 1 and len(t.starts) <= 4 for t in tables)
+        result = solve_parallel_links(CongestionOracle(game))
+        assert sum(result.loads.loads) == n
+        assert result.queries_used <= result.query_bound
+        assert is_delta_equilibrium(tables, result.loads.loads, 1, result.loads.special)
+
+    def test_adversary_forces_log_n_queries(self):
+        exp = 40
+        n = 2**exp
+        oracle = AdversaryLinkOracle(n)
+        result = solve_parallel_links(oracle)
+        assert result.queries_used >= exp
+        assert all(size >= 2 for size in oracle.completion_history[: exp - 1])
+        (location,) = consistent_completions(oracle.state)
+        assert result.loads.loads == (location, n - location)
         game = oracle.committed_game()
         assert is_delta_equilibrium(
             link_tables(game), result.loads.loads, 1, result.loads.special

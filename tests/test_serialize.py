@@ -99,3 +99,27 @@ def test_load_assignment_round_trip():
 def test_malformed_load_assignment_is_invalid_profile(document):
     with pytest.raises(InvalidProfile):
         loads_from_dict(document)
+
+
+def test_step_tables_are_written_as_breakpoints():
+    game = gen_random_step_links(3, 5, seed=1)
+    data = json.loads(json.dumps(game_to_dict(game)))
+    for e, table in game.cost.items():
+        steps = data["cost_tables"][str(e)]["steps"]
+        assert steps == [[t, format_rational(v)] for t, v in zip(table.starts, table.values)]
+    # The dense list of the same entries reads as the same game.
+    data["cost_tables"] = {str(e): [format_rational(v) for v in t]
+                           for e, t in game.cost.items()}
+    assert game_from_dict(data) == game
+
+
+def test_gen_at_n_2_pow_40_writes_breakpoints(tmp_path):
+    from pqlab.cli import EXIT_OK, main
+
+    out = tmp_path / "game.json"
+    assert main(["gen", "step:m=4,n=1099511627776,seed=0", "--out", str(out)]) == EXIT_OK
+    assert out.stat().st_size < 4096
+    with open(out) as fp:
+        game = load_game(fp)
+    assert game.players == 2**40
+    assert game == gen_random_step_links(4, 2**40, seed=0)
