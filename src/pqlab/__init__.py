@@ -79,7 +79,6 @@ from .parallel_links import (
     LinkLoads,
     ParallelLinksResult,
     default_group_factor,
-    is_delta_equilibrium,
     refine_profile,
     solve_parallel_links,
 )
@@ -90,6 +89,7 @@ from .verify import (
     deviation_report,
     exact_ne_2x2,
     greedy_parallel_ne,
+    is_delta_equilibrium,
 )
 
 __version__ = "0.1.0"

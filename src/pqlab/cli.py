@@ -25,7 +25,6 @@ from .games import (
     GraphicalGame,
     MixedProfile,
     enumerate_paths,
-    link_tables,
     regret,
 )
 from .oracles import (
@@ -144,6 +143,7 @@ def _cmd_solve_bimatrix(args) -> int:
 
 
 def _cmd_solve_parallel_links(args) -> int:
+    extra = {}
     if args.adversary:
         players = args.players
         if players is None and args.gen:
@@ -154,35 +154,26 @@ def _cmd_solve_parallel_links(args) -> int:
         oracle = AdversaryLinkOracle(players, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
         completions = list(consistent_completions(oracle.state))
-        verified = (
-            len(completions) == 1
-            and result.loads.loads[0] == completions[0]
-            and result.loads.loads[1] == players - completions[0]
+        extra["consistent_step_locations"] = completions
+        # One consistent step location c leaves one equilibrium, (c, n - c).
+        verified = len(completions) == 1 and _links_verified(
+            oracle.committed_game(), result.loads.loads
         )
-        payload = {
-            "loads": list(result.loads.loads),
-            "special_link": result.loads.special,
-            "queries_used": result.queries_used,
-            "query_bound": result.query_bound,
-            "consistent_step_locations": completions,
-            "verified": verified,
-        }
     else:
         game = _load_or_gen(args)
         if not isinstance(game, CongestionGame) or not game.is_parallel_links:
             raise ValueError("solve parallel-links needs a parallel-links game")
         oracle = CongestionOracle(game, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
-        verified = parallel_links.is_delta_equilibrium(
-            link_tables(game), result.loads.loads, 1, result.loads.special
-        )
-        payload = {
-            "loads": list(result.loads.loads),
-            "special_link": result.loads.special,
-            "queries_used": result.queries_used,
-            "query_bound": result.query_bound,
-            "verified": verified,
-        }
+        verified = _links_verified(game, result.loads.loads)
+    payload = {
+        "loads": list(result.loads.loads),
+        "special_link": result.loads.special,
+        "queries_used": result.queries_used,
+        "query_bound": result.query_bound,
+        **extra,
+        "verified": verified,
+    }
     if args.emit_trace:
         payload["phases"] = [
             {"delta": t.delta, "moved_groups": t.moved_groups,
@@ -191,6 +182,12 @@ def _cmd_solve_parallel_links(args) -> int:
         ]
     _emit(args, payload)
     return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
+
+
+def _links_verified(game: CongestionGame, loads) -> bool:
+    """Ground truth for per-link loads, listed in edge-id order."""
+    profile = {(e,): load for e, load in zip(sorted(game.edges), loads, strict=True)}
+    return verify.deviation_report(game, profile).is_equilibrium
 
 
 def _cmd_solve_dag(args) -> int:
@@ -295,13 +292,7 @@ def _cmd_verify(args) -> int:
     else:
         if not isinstance(profile, tuple):
             raise InvalidProfile("a graphical game needs a pure profile")
-        base = game.payoffs(profile)
-        worst = Fraction(0)
-        for p in range(game.players):
-            for s in range(game.strategies):
-                moved = list(profile)
-                moved[p] = s
-                worst = max(worst, game.payoff(p, moved) - base[p])
+        worst = verify.graphical_improvement(game, profile)
         payload = {"improvement": str(worst), "is_equilibrium": worst == 0}
         ok = worst == 0
     _emit(args, payload)
@@ -309,7 +300,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = []
+    rows, verdicts = [], []
     if args.family == "parallel-links":
         for exp in range(args.n_min_exp, args.n_max_exp + 1):
             n = 2**exp
@@ -328,6 +319,7 @@ def _cmd_bench(args) -> int:
                     "seconds": round(time.monotonic() - t0, 4),
                 }
             )
+            verdicts.append(_links_verified(game, result.loads.loads))
     elif args.family == "dag":
         for n in range(args.players_min, args.players_max + 1):
             game = instances.gen_random_dag(args.v, args.e, n, args.seed)
@@ -347,6 +339,7 @@ def _cmd_bench(args) -> int:
                     "seconds": round(time.monotonic() - t0, 4),
                 }
             )
+            verdicts.append(verify.deviation_report(game, result.profile).is_equilibrium)
     elif args.family == "graphical":
         n, k, d = args.players_max, args.k, args.d
         game = instances.gen_random_graphical(n, k, d, args.seed)
@@ -365,6 +358,7 @@ def _cmd_bench(args) -> int:
                 "seconds": round(time.monotonic() - t0, 4),
             }
         )
+        verdicts.append(learned.game == game)
     else:
         raise ValueError(f"unknown bench family {args.family!r}")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -375,7 +369,7 @@ def _cmd_bench(args) -> int:
     finally:
         if args.out:
             out.close()
-    return EXIT_OK
+    return EXIT_OK if all(verdicts) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,9 +78,6 @@ class PartialCostFunction:
             for e, vals in self._values.items()
         }
 
-    def snapshot(self) -> dict[int, dict[int, Fraction]]:
-        return {e: dict(vals) for e, vals in self._values.items()}
-
 
 # ---------------------------------------------------------------------------
 # Unit-capacity max flow and edge-disjoint path pairs (Menger).

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import sys
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
@@ -56,15 +57,6 @@ class BimatrixGame:
             for r in table:
                 for v in r:
                     _unit(v, f"{name} payoff")
-
-    @classmethod
-    def from_tables(
-        cls,
-        row_payoff: Sequence[Sequence[object]],
-        col_payoff: Sequence[Sequence[object]],
-    ) -> "BimatrixGame":
-        coerce = lambda t: tuple(tuple(Fraction(v) for v in row) for row in t)  # noqa: E731
-        return cls(coerce(row_payoff), coerce(col_payoff))
 
     @property
     def rows(self) -> int:
@@ -157,10 +149,6 @@ class GraphicalGame:
                 if any(not 0 <= s < k for s in ctx):
                     raise InvalidSpec(f"player {p} table key ({own}, {ctx}) malformed")
                 _unit(v, f"player {p} payoff")
-
-    @property
-    def max_in_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.in_neighbors)
 
     @property
     def affects_edges(self) -> frozenset[tuple[int, int]]:
@@ -392,6 +380,8 @@ class StepTable(Sequence):
     __slots__ = ("starts", "values", "_size")
 
     def __init__(self, steps: Iterable[tuple[int, object]], players: int) -> None:
+        if players + 1 > sys.maxsize:  # len() must be able to return n + 1
+            raise InvalidSpec(f"n={players} is too large: n + 1 exceeds {sys.maxsize}")
         starts: list[int] = []
         values: list[Fraction] = []
         last = -1

@@ -56,8 +56,8 @@ def _edge_key(key: str) -> int:
 
 
 def _document(error: type[PqlabError], what: str):
-    """Parse a JSON object, reporting any other shape or a field of the wrong
-    JSON type (a null, say) as ``error`` instead of a raw Python error."""
+    """Parse a JSON object, reporting any other shape, a missing field or a
+    field of the wrong JSON type or value as ``error``, not a Python error."""
 
     def wrap(parse):
         @functools.wraps(parse)
@@ -67,7 +67,7 @@ def _document(error: type[PqlabError], what: str):
                 raise error(f"a {what} document is a JSON object, got {got}")
             try:
                 return parse(data)
-            except (TypeError, AttributeError) as exc:
+            except (TypeError, AttributeError, KeyError, ValueError) as exc:
                 raise error(f"malformed {what} document: {exc}") from exc
 
         return checked
@@ -252,11 +252,6 @@ def _assignment(entries) -> dict[Path, int]:
             raise InvalidProfile(f"path {list(path)} is listed twice")
         assignment[path] = _int(entry["count"])
     return assignment
-
-
-def dump_game(game, fp) -> None:
-    json.dump(game_to_dict(game), fp, indent=2)
-    fp.write("\n")
 
 
 def load_game(fp):

@@ -7,25 +7,29 @@ Enumeration caps can be overridden with the PQLAB_CAP environment variable.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidSpec, TooLarge
+from .errors import InvalidProfile, InvalidSpec, TooLarge
 from .games import (
     BimatrixGame,
     CongestionGame,
+    GraphicalGame,
     MixedProfile,
     Path,
+    edge_loads,
     enumerate_paths,
+    validate_profile,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_CAP = 10**6
 _SAMPLES = 200
@@ -63,18 +67,27 @@ def deviation_report(game: CongestionGame, profile: Mapping[Path, int]) -> Devia
 
     For each used path, one relaxation over the DAG finds the cheapest
     alternative at the loads after the move; ties go to the
-    lexicographically least path, the first in enumerate_paths order.
+    lexicographically least path, the first in enumerate_paths order.  On
+    parallel links the two cheapest links to join settle every used link.
     """
-    from .games import validate_profile
-
     loads = validate_profile(game, profile)
+    other_join = (
+        _other_join(game.cost, loads.items(), 1, game.players)
+        if game.is_parallel_links
+        else None
+    )
     best = _ZERO
     worst_path = worst_alt = None
     for path, count in sorted(profile.items()):
         if count == 0:
             continue
-        alt, moved = _cheapest_move(game, path, loads)
-        gain = _path_cost(game, path, loads) - moved
+        cost = _path_cost(game, path, loads)
+        if other_join is None:
+            alt, moved = _cheapest_move(game, path, loads)
+        else:
+            moved, j = other_join(path[0]) or (cost, path[0])
+            alt = (j,)
+        gain = cost - moved
         if gain > best:
             best, worst_path, worst_alt = gain, path, alt
     return DeviationReport(
@@ -118,6 +131,59 @@ def _cheapest_move(
     return tuple(best), togo[net.origin]
 
 
+def _other_join(
+    tables, loads: Iterable[tuple[int, int]], delta: int, n: int
+) -> Callable[[int], tuple[Fraction, int] | None]:
+    """Link i -> the least (cost, j) of adding delta players to a link j != i.
+
+    Loads above n cost infinitely much, and ties go to the lowest j.  The two
+    least pairs over all links settle every i, so this reads O(m) entries.
+    """
+    joins = heapq.nsmallest(
+        2, ((tables[j][x + delta], j) for j, x in loads if x + delta <= n)
+    )
+    return lambda i: next((join for join in joins if join[1] != i), None)
+
+
+def is_delta_equilibrium(
+    tables: Sequence[Sequence[Fraction]],
+    loads: Sequence[int],
+    delta: int,
+    special: int,
+) -> bool:
+    """Delta-equilibrium check of per-link loads against full cost tables.
+
+    Requires delta | loads[i] off the special link, and that no group of
+    delta players on a link with at least delta of them could pay less on
+    any other link.  The total is not checked, so any phase's loads can be
+    given; a load outside 0..n is rejected.
+    """
+    n = len(tables[0]) - 1
+    if len(loads) != len(tables):
+        raise InvalidSpec("loads do not match the tables")
+    if any(not 0 <= x <= n for x in loads):
+        raise InvalidProfile(f"link loads {tuple(loads)} leave the range 0..{n}")
+    if any(x % delta for i, x in enumerate(loads) if i != special):
+        return False
+    other_join = _other_join(tables, enumerate(loads), delta, n)
+    for i, x in enumerate(loads):
+        join = other_join(i) if x >= delta else None
+        if join is not None and join[0] < tables[i][x]:
+            return False
+    return True
+
+
+def graphical_improvement(game: GraphicalGame, profile: Sequence[int]) -> Fraction:
+    """Largest payoff gain of one player's unilateral pure deviation; the
+    pure profile is a Nash equilibrium iff it is 0 (staying gains 0)."""
+    base = game.payoffs(profile)
+    return max(
+        game.payoff(p, (*profile[:p], s, *profile[p + 1 :])) - base[p]
+        for p in range(game.players)
+        for s in range(game.strategies)
+    )
+
+
 def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
     """Every anonymous profile (multiset of n paths); guarded by the cap."""
     paths = enumerate_paths(game)
@@ -129,13 +195,9 @@ def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path
             f"{count} anonymous profiles ({len(paths)} paths, {n} players) "
             f"exceed the cap of {limit}"
         )
-    profiles = []
-    for combo in itertools.combinations_with_replacement(paths, n):
-        profile: dict[Path, int] = {}
-        for p in combo:
-            profile[p] = profile.get(p, 0) + 1
-        profiles.append(profile)
-    return profiles
+    return [
+        dict(Counter(combo)) for combo in itertools.combinations_with_replacement(paths, n)
+    ]
 
 
 def brute_force_pure_ne(
@@ -183,19 +245,14 @@ def check_equivalence(
     (equivalent, counterexample) where the counterexample names the profile
     and the disagreeing path.
     """
-    from .games import edge_loads
-
     paths = enumerate_paths(game)
     if mode == "exhaustive":
         profiles = all_profiles(game)
     elif mode == "sampled":
         rng = random.Random(_SAMPLE_SEED)
-        profiles = []
-        for _ in range(_SAMPLES):
-            profile: dict[Path, int] = {}
-            for p in rng.choices(paths, k=game.players):
-                profile[p] = profile.get(p, 0) + 1
-            profiles.append(profile)
+        profiles = [
+            dict(Counter(rng.choices(paths, k=game.players))) for _ in range(_SAMPLES)
+        ]
     else:
         raise InvalidSpec(f"unknown mode {mode!r}")
 

@@ -37,12 +37,13 @@ from pqlab.instances import (
     gen_random_step_links,
     rows_winning_in_column,
 )
-from pqlab.parallel_links import is_delta_equilibrium, solve_parallel_links
+from pqlab.parallel_links import solve_parallel_links
 from pqlab.verify import (
     brute_force_pure_ne,
     check_equivalence,
     deviation_report,
     exact_ne_2x2,
+    is_delta_equilibrium,
 )
 
 F = Fraction

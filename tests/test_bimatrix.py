@@ -16,6 +16,8 @@ from pqlab.instances import (
     gen_random_bimatrix,
 )
 
+from tests.test_games import bimatrix
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -43,9 +45,7 @@ class TestHalfApproxNe:
         assert regret(game, result.profile) == HALF
 
     def test_dominant_row_collapses_to_pure(self):
-        from pqlab import BimatrixGame
-
-        game = BimatrixGame.from_tables(
+        game = bimatrix(
             [[1, 1], [0, 0]], [["1/2", 0], [0, "1/2"]]
         )
         oracle = PurePayoffOracle(game)

@@ -1,11 +1,21 @@
 """Command-line behaviour: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from pqlab import serialize
-from pqlab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main, make_game
+from pqlab import parallel_links, serialize
+from pqlab.cli import (
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    main,
+    make_game,
+)
+from pqlab.parallel_links import LinkLoads
+from pqlab.verify import deviation_report
 
 
 def run(tmp_path, *argv):
@@ -82,6 +92,37 @@ class TestSolveParallelLinks:
         assert code == EXIT_OK
         assert payload["queries_used"] >= 10  # floor(log2 1024)
         assert len(payload["consistent_step_locations"]) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--gen", "step:m=4,n=50,seed=2"], ["--adversary", "--players", "64"]],
+        ids=["gen", "adversary"],
+    )
+    def test_a_solve_that_drops_a_player_is_not_verified(
+        self, monkeypatch, capsys, source
+    ):
+        solve = parallel_links.solve_parallel_links
+
+        def dropping(oracle, group_factor=None):
+            result = solve(oracle, group_factor)
+            loads = list(result.loads.loads)
+            loads[loads.index(max(loads))] -= 1
+            return dataclasses.replace(
+                result, loads=LinkLoads(tuple(loads), result.loads.special)
+            )
+
+        monkeypatch.setattr(parallel_links, "solve_parallel_links", dropping)
+        assert main(["solve", "parallel-links", *source]) != EXIT_OK
+        assert '"verified": true' not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, code", [(2**63 - 2, EXIT_OK), (2**63 - 1, EXIT_INVALID)])
+    def test_n_up_to_maxsize_minus_one(self, tmp_path, n, code):
+        # A step table has n + 1 entries, and len() stops at sys.maxsize.
+        got, payload = run(
+            tmp_path, "solve", "parallel-links", "--gen", f"step:m=2,n={n},seed=0"
+        )
+        assert got == code
+        assert (payload is not None and payload["verified"]) == (code == EXIT_OK)
 
 
 class TestSolveAndLearnDag:
@@ -284,6 +325,24 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "spec, edit",
+        [
+            ("step:m=2,n=4,seed=0", lambda game: game.pop("players")),
+            ("step:m=2,n=4,seed=0", lambda game: game.update(edges="x")),
+            ("random-graphical:n=3,k=2,d=1,seed=0", lambda game: game.pop("strategies")),
+        ],
+        ids=["missing-players", "edges-not-triples", "missing-graphical-strategies"],
+    )
+    def test_missing_or_misshapen_fields_are_invalid_input(
+        self, tmp_path, capsys, spec, edit
+    ):
+        game = serialize.game_to_dict(make_game(spec))
+        edit(game)
+        profile = {"type": "profile", "kind": "pure", "strategies": [0, 0]}
+        assert self._verify(tmp_path, game, profile) == EXIT_INVALID
+        assert "malformed game document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "spec, field, value",
         [
             ("step:m=2,n=2,seed=0", ("players",), 2.9),
@@ -392,6 +451,31 @@ class TestBench:
                 assert float(row["fraction"]) == int(row["queries_used"]) / int(
                     row["total_values"]
                 )
+
+    def test_a_row_that_fails_verification_exits_2(self, tmp_path, monkeypatch):
+        # The n = 32 row reports every player on a link they would leave.
+        game = make_game("step:m=4,n=32,seed=1")
+        stacked = next(
+            tuple(32 if j == i else 0 for j in range(4))
+            for i in range(4)
+            if not deviation_report(game, {(i,): 32}).is_equilibrium
+        )
+        solve = parallel_links.solve_parallel_links
+
+        def stacking(oracle, group_factor=None):
+            result = solve(oracle, group_factor)
+            if oracle.players != 32:
+                return result
+            return dataclasses.replace(result, loads=LinkLoads(stacked, 0))
+
+        monkeypatch.setattr(parallel_links, "solve_parallel_links", stacking)
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["bench", "parallel-links", "--m", "4", "--n-min-exp", "4",
+             "--n-max-exp", "6", "--seed", "1", "--out", str(out)]
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert len(out.read_text().strip().splitlines()) == 4  # every row written
 
     def test_dag_grid_counts(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -29,6 +29,12 @@ from pqlab.verify import exact_ne_2x2
 F = Fraction
 
 
+def bimatrix(row_payoff, col_payoff):
+    """A bimatrix game from nested lists of anything Fraction accepts."""
+    coerce = lambda t: tuple(tuple(F(v) for v in row) for row in t)  # noqa: E731
+    return BimatrixGame(coerce(row_payoff), coerce(col_payoff))
+
+
 def diamond(players=1, f_a=1, f_b=1, f_c=0, f_d=0):
     """The four-edge two-hop multigraph: o->m via a,b; m->d via c,d."""
     net = Network((0, 1, 2), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (1, 2)}, 0, 2)
@@ -113,7 +119,7 @@ class TestBimatrixPayoffs:
         assert bimatrix_payoffs(game, (0, 1)) == (0, 1)
 
     def test_zero_game(self):
-        game = BimatrixGame.from_tables([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+        game = bimatrix([[0, 0], [0, 0]], [[0, 0], [0, 0]])
         assert bimatrix_payoffs(game, (1, 1)) == (0, 0)
 
     def test_out_of_range(self):
@@ -147,7 +153,7 @@ class TestRegret:
 class TestInvariants:
     def test_payoffs_outside_unit_interval_rejected(self):
         with pytest.raises(InvalidSpec):
-            BimatrixGame.from_tables([[2]], [[0]])
+            bimatrix([[2]], [[0]])
 
     def test_mixed_profile_must_sum_to_one(self):
         with pytest.raises(InvalidSpec):

@@ -24,11 +24,8 @@ from pqlab import (
 from pqlab.cli import EXIT_OK, main
 from pqlab.games import link_tables
 from pqlab.instances import gen_random_step_links
-from pqlab.parallel_links import (
-    default_group_factor,
-    is_delta_equilibrium,
-    refine_profile,
-)
+from pqlab.parallel_links import default_group_factor, refine_profile
+from pqlab.verify import is_delta_equilibrium
 
 F = Fraction
 

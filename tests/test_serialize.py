@@ -16,7 +16,6 @@ from pqlab.instances import (
     gen_random_step_links,
 )
 from pqlab.serialize import (
-    dump_game,
     format_rational,
     game_from_dict,
     game_to_dict,
@@ -58,8 +57,9 @@ def test_game_round_trip(game):
 def test_game_json_is_stable_text(tmp_path):
     game = gen_random_dag(5, 8, 2, seed=3)
     buf1, buf2 = io.StringIO(), io.StringIO()
-    dump_game(game, buf1)
-    dump_game(game, buf2)
+    for buf in (buf1, buf2):
+        json.dump(game_to_dict(game), buf, indent=2)
+        buf.write("\n")
     assert buf1.getvalue() == buf2.getvalue()
     path = tmp_path / "game.json"
     path.write_text(buf1.getvalue())
@@ -94,11 +94,32 @@ def test_load_assignment_round_trip():
         {"type": "loads", "loads": [{"path": [0], "count": 1.5}]},
         {"type": "loads", "loads": [{"path": [0], "count": 1},
                                     {"path": [0], "count": 2}]},
+        {"type": "loads"},
+        {"type": "loads", "loads": [{"path": [0]}]},
     ],
 )
 def test_malformed_load_assignment_is_invalid_profile(document):
     with pytest.raises(InvalidProfile):
         loads_from_dict(document)
+
+
+@pytest.mark.parametrize(
+    "game, edit",
+    [
+        (gen_random_step_links(2, 4, seed=0), lambda data: data.pop("players")),
+        (gen_random_step_links(2, 4, seed=0), lambda data: data.update(edges="x")),
+        (gen_random_dag(5, 8, 2, seed=3), lambda data: data.update(cost_tables={"x": []})),
+        (gen_random_graphical(3, 2, 1, seed=0), lambda data: data.pop("payoff_tables")),
+        (gen_matching_pennies(2), lambda data: data.pop("col_payoff")),
+    ],
+    ids=["missing-players", "edges-not-triples", "edge-key-not-a-number",
+         "missing-payoff-tables", "missing-col-payoff"],
+)
+def test_malformed_game_document_is_invalid_spec(game, edit):
+    data = game_to_dict(game)
+    edit(data)
+    with pytest.raises(InvalidSpec, match="malformed game document"):
+        game_from_dict(data)
 
 
 def test_step_tables_are_written_as_breakpoints():

@@ -1,30 +1,44 @@
 """The independent ground-truth oracles themselves."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pqlab import (
+    CongestionGame,
     CongestionOracle,
+    InvalidProfile,
     MixedProfile,
+    Network,
     TooLarge,
     parallel_links_game,
     regret,
     solve_dag_game,
 )
-from pqlab.games import edge_loads, enumerate_paths, link_tables
-from pqlab.instances import gen_matching_pennies, gen_random_bimatrix, gen_random_dag
+import pqlab.verify
+from pqlab.games import edge_loads, enumerate_paths, link_tables, validate_profile
+from pqlab.instances import (
+    gen_matching_pennies,
+    gen_random_bimatrix,
+    gen_random_dag,
+    gen_random_step_links,
+)
 from pqlab.verify import (
+    DeviationReport,
     all_profiles,
     brute_force_pure_ne,
     check_equivalence,
     deviation_report,
     exact_ne_2x2,
     greedy_parallel_ne,
+    is_delta_equilibrium,
 )
-from tests.test_games import diamond
+from tests.test_games import bimatrix, diamond
 
 F = Fraction
 
@@ -101,7 +115,6 @@ class TestGreedy:
 
     def test_greedy_always_passes_delta_one_check(self):
         from pqlab.instances import gen_random_step_links
-        from pqlab.parallel_links import is_delta_equilibrium
 
         for seed in range(40):
             game = gen_random_step_links(4, 9, seed)
@@ -165,9 +178,7 @@ class TestExactNe2x2:
         assert ne == MixedProfile.uniform(2, 2)
 
     def test_dominant_strategy_game(self):
-        from pqlab import BimatrixGame
-
-        game = BimatrixGame.from_tables([[1, 1], [0, 0]], [[1, 0], [1, 0]])
+        game = bimatrix([[1, 1], [0, 0]], [[1, 0], [1, 0]])
         ne = exact_ne_2x2(game)
         assert ne.row_dist[0] == 1 and ne.col_dist[0] == 1
 
@@ -255,3 +266,93 @@ def test_deviation_report_breaks_ties_to_least_path():
     report = deviation_report(game, {(0,): 2})
     assert report.improvement == 4
     assert (report.worst_path, report.worst_alternative) == ((0,), (1,))
+
+
+def _relaxation_report(game, profile):
+    """The report by the general DAG method, one backward relaxation per used
+    path, as the reference for the parallel-links branch of deviation_report."""
+    loads = validate_profile(game, profile)
+    net = game.network
+    best, worst_path, worst_alt = Fraction(0), None, None
+    for path, count in sorted(profile.items()):
+        if count == 0:
+            continue
+        price = {e: game.cost[e][x + (e not in path)] for e, x in loads.items()}
+        togo = {net.destination: Fraction(0)}
+        for v in reversed(net.topological_order()):
+            for e in net.out_edges[v]:
+                cand = price[e] + togo[net.edges[e][1]]
+                if v not in togo or cand < togo[v]:
+                    togo[v] = cand
+        alt, v = [], net.origin
+        while v != net.destination:
+            e = min(
+                e for e in net.out_edges[v] if price[e] + togo[net.edges[e][1]] == togo[v]
+            )
+            alt.append(e)
+            v = net.edges[e][1]
+        gain = sum(game.cost[e][loads[e]] for e in path) - togo[net.origin]
+        if gain > best:
+            best, worst_path, worst_alt = gain, path, tuple(alt)
+    return DeviationReport(tuple(sorted(profile.items())), worst_path, worst_alt, best)
+
+
+def test_parallel_links_report_matches_the_relaxation():
+    rng = random.Random(11)
+    verdicts, every_link_loaded = set(), 0
+    for case in range(480):
+        m, n = rng.randint(1, 6), rng.randint(1, 12)
+        if case % 2:
+            game = gen_random_step_links(m, n, rng.randrange(10**6))
+            ids = range(m)
+        else:
+            # Few distinct costs, so links tie often and the least id shows;
+            # edge ids out of order and with gaps.
+            ids = rng.sample(range(20), m)
+            game = CongestionGame(
+                Network((0, 1), {e: (0, 1) for e in ids}, 0, 1),
+                n,
+                {e: sorted(rng.randint(0, 4) for _ in range(n + 1)) for e in ids},
+            )
+        if case % 3 == 0 and n >= m:
+            cuts = sorted(rng.sample(range(1, n), m - 1))
+            loads = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        else:
+            loads = [0] * m
+            for _ in range(n):
+                loads[rng.randrange(m)] += 1
+        # Idle links are listed with a count of 0 or left out.
+        profile = {(e,): x for e, x in zip(ids, loads) if x or rng.random() < 0.5}
+        report = deviation_report(game, profile)
+        assert report == _relaxation_report(game, profile)
+        verdicts.add(report.is_equilibrium)
+        every_link_loaded += all(loads)
+    assert verdicts == {True, False}
+    assert every_link_loaded >= 100
+
+
+@pytest.mark.parametrize("loads", [(-1, 5), (5, -1), (6, 0), (0, 7)])
+def test_delta_equilibrium_rejects_loads_outside_0_to_n(loads):
+    tables = link_tables(gen_random_step_links(2, 5, seed=0))
+    with pytest.raises(InvalidProfile):
+        is_delta_equilibrium(tables, loads, 1, 0)
+
+
+@pytest.mark.parametrize("loads", [(0, 0), (2, 1)])
+def test_link_loads_that_drop_players_are_rejected(loads):
+    game = gen_random_step_links(2, 4, seed=0)
+    with pytest.raises(InvalidProfile, match="places 3 players|places 0 players"):
+        deviation_report(game, {(e,): x for e, x in enumerate(loads)})
+
+
+def test_verify_imports_only_the_standard_library_games_and_errors():
+    # Ground truth stays independent of the solvers it checks.
+    tree = ast.parse(Path(pqlab.verify.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1 and node.module in {"games", "errors"}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names
