@@ -18,7 +18,7 @@ from . import bimatrix as bm
 from . import dag_learner as dag
 from . import graphical as gg
 from . import instances, parallel_links, serialize, verify
-from .errors import BudgetExhausted, InvalidProfile, PqlabError
+from .errors import BudgetExhausted, InvalidProfile, InvalidSpec, PqlabError
 from .games import (
     BimatrixGame,
     CongestionGame,
@@ -187,7 +187,18 @@ def _cmd_solve_parallel_links(args) -> int:
 def _links_verified(game: CongestionGame, loads) -> bool:
     """Ground truth for per-link loads, listed in edge-id order."""
     profile = {(e,): load for e, load in zip(sorted(game.edges), loads, strict=True)}
-    return verify.deviation_report(game, profile).is_equilibrium
+    report = _solver_report(game, profile)
+    return report is not None and report.is_equilibrium
+
+
+def _solver_report(game: CongestionGame, profile) -> verify.DeviationReport | None:
+    """Ground truth for a solver's profile, or None if it is no profile of
+    the game (say, it places the wrong number of players).  The game was
+    valid input, so such a result fails its check rather than the input."""
+    try:
+        return verify.deviation_report(game, profile)
+    except InvalidProfile:
+        return None
 
 
 def _cmd_solve_dag(args) -> int:
@@ -196,18 +207,18 @@ def _cmd_solve_dag(args) -> int:
         raise ValueError("solve dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
     result = dag.solve_dag_game(oracle)
-    report = verify.deviation_report(game, result.profile)
+    report = _solver_report(game, result.profile)
     payload = {
         "profile": serialize.profile_to_dict(result.profile),
         "queries_used": result.queries_used,
         "contracted_edges": {
             str(e): list(ids) for e, ids in result.contraction.absorbed.items()
         },
-        "verified": report.is_equilibrium,
-        "worst_improvement": str(report.improvement),
+        "verified": report is not None and report.is_equilibrium,
+        "worst_improvement": None if report is None else str(report.improvement),
     }
     _emit(args, payload)
-    return EXIT_OK if report.is_equilibrium else EXIT_VERIFY_FAILED
+    return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_learn_graphical(args) -> int:
@@ -300,6 +311,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    low, high = {
+        "parallel-links": (args.n_min_exp, args.n_max_exp),
+        "dag": (args.players_min, args.players_max),
+    }.get(args.family, (0, 0))
+    if low > high:
+        raise InvalidSpec(f"empty grid: the minimum {low} is above the maximum {high}")
     rows, verdicts = [], []
     if args.family == "parallel-links":
         for exp in range(args.n_min_exp, args.n_max_exp + 1):
@@ -339,7 +356,8 @@ def _cmd_bench(args) -> int:
                     "seconds": round(time.monotonic() - t0, 4),
                 }
             )
-            verdicts.append(verify.deviation_report(game, result.profile).is_equilibrium)
+            report = _solver_report(game, result.profile)
+            verdicts.append(report is not None and report.is_equilibrium)
     elif args.family == "graphical":
         n, k, d = args.players_max, args.k, args.d
         game = instances.gen_random_graphical(n, k, d, args.seed)

@@ -18,6 +18,7 @@ ContractedOracle's reduced one.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import (
     PathSelectionFailed,
     PotentialNotDecreasing,
 )
-from .games import CongestionGame, Network, Path, edge_loads
+from .games import CongestionGame, Network, Path, edge_loads, exact_sum
 
 _ZERO = Fraction(0)
 
@@ -488,7 +489,7 @@ def _query_and_extract(
             raise AlgorithmInvariantViolated(
                 f"bridge query load pattern broken at edge {e}"
             )
-    known = _ZERO
+    known: list[Fraction] = []
     for e in one_path:
         if e == target:
             continue
@@ -497,9 +498,9 @@ def _query_and_extract(
             raise PathSelectionFailed(
                 f"edge {e} at load {loads[e]} is still unknown; bad path kit"
             )
-        known += value
+        known.append(value)
     response = oracle.query_loads(assignment)
-    f.define(target, target_load, response[one_path] - known)
+    f.define(target, target_load, response[one_path] - exact_sum(known))
 
 
 def learn_one_player(oracle) -> PartialCostFunction:
@@ -537,7 +538,7 @@ def learn_one_player(oracle) -> PartialCostFunction:
                         f"stem edge {e2} unprocessed before vertex {kv}"
                     )
             cost = oracle.query_loads({path: 1})[path]
-            scores[e] = cost - sum((f.value(e2, 1) for e2 in stem), _ZERO)
+            scores[e] = cost - exact_sum([f.value(e2, 1) for e2 in stem])
         pivot = min(in_edges, key=lambda e: (scores[e], e))
         f.define(pivot, 1, _ZERO)
         for e in in_edges:
@@ -663,12 +664,16 @@ def _best_response(
     """Lexicographically least cheapest o-d path for a player on current_path.
 
     Edge weights are the learned costs at the load the edge would carry
-    after the move.  Costs to the destination are relaxed backwards along
-    the topology, then the path takes the lowest edge id that stays cheapest.
+    after the move, scaled once to integers over their common denominator;
+    a positive scale keeps every comparison and tie.  Costs to the
+    destination are relaxed backwards along the topology, then the path
+    takes the lowest edge id that stays cheapest.
     """
     on_path = set(current_path)
-    weight = {e: f.value(e, load + (e not in on_path)) for e, load in loads.items()}
-    togo: dict[int, Fraction] = {net.destination: _ZERO}
+    exact = {e: f.value(e, load + (e not in on_path)) for e, load in loads.items()}
+    den = math.lcm(*{w.denominator for w in exact.values()})
+    weight = {e: w.numerator * (den // w.denominator) for e, w in exact.items()}
+    togo: dict[int, int] = {net.destination: 0}
     for v in reversed(net.topological_order()):
         for e in net.out_edges[v]:
             cand = weight[e] + togo[net.edges[e][1]]
@@ -682,7 +687,7 @@ def _best_response(
         )
         path.append(e)
         v = net.edges[e][1]
-    return tuple(path), togo[net.origin]
+    return tuple(path), Fraction(togo[net.origin], den)
 
 
 def solve_learned_game(
@@ -702,7 +707,7 @@ def solve_learned_game(
     loads = edge_loads(net, profile)
     while True:
         for path in sorted(p for p, c in profile.items() if c > 0):
-            current = sum((f.value(e, loads[e]) for e in path), _ZERO)
+            current = exact_sum([f.value(e, loads[e]) for e in path])
             best_path, best_cost = _best_response(f, net, loads, path)
             if best_cost < current and best_path != path:
                 profile[path] -= 1

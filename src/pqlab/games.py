@@ -8,6 +8,7 @@ edge ids. All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import sys
 from bisect import bisect_right
@@ -31,6 +32,18 @@ def _unit(value: object, what: str) -> Fraction:
     if f < _ZERO or f > _ONE:
         raise InvalidSpec(f"{what} must lie in [0, 1], got {f}")
     return f
+
+
+def exact_sum(values: Sequence[Fraction]) -> Fraction:
+    """The exact sum of values, added as integers over one common denominator.
+
+    Equal to ``sum(values, Fraction(0))``, and normalised the same way, but
+    it reduces once instead of at every addition; that matters on long paths.
+    """
+    if len(values) < 2:
+        return values[0] if values else _ZERO
+    den = math.lcm(*{v.denominator for v in values})
+    return Fraction(sum([v.numerator * (den // v.denominator) for v in values]), den)
 
 
 @dataclass(frozen=True)
@@ -571,6 +584,8 @@ def strategy_costs(
 
     Loads on distinct strategies apply simultaneously, so one call prices
     every queried path at once.  Any induced edge load above n is rejected.
+    Each cost is exact: the path's entries are summed as integers scaled to
+    their common denominator (:func:`exact_sum`).
     """
     loads = edge_loads(game, assignment)
     n = game.players
@@ -578,7 +593,7 @@ def strategy_costs(
         if load > n:
             raise LoadOutOfRange(f"edge {e} carries {load} players, above n={n}")
     return {
-        tuple(path): sum((game.cost[e][loads[e]] for e in path), _ZERO)
+        tuple(path): exact_sum([game.cost[e][loads[e]] for e in path])
         for path in assignment
     }
 

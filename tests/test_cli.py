@@ -112,8 +112,10 @@ class TestSolveParallelLinks:
             )
 
         monkeypatch.setattr(parallel_links, "solve_parallel_links", dropping)
-        assert main(["solve", "parallel-links", *source]) != EXIT_OK
-        assert '"verified": true' not in capsys.readouterr().out
+        # The input was fine and the result failed its check: exit 2, not 4.
+        assert main(["solve", "parallel-links", *source]) == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        assert '"verified": false' in out and '"verified": true' not in out
 
     @pytest.mark.parametrize("n, code", [(2**63 - 2, EXIT_OK), (2**63 - 1, EXIT_INVALID)])
     def test_n_up_to_maxsize_minus_one(self, tmp_path, n, code):
@@ -132,6 +134,25 @@ class TestSolveAndLearnDag:
         )
         assert code == EXIT_OK
         assert payload["verified"] is True
+
+    def test_a_solve_that_drops_a_player_is_not_verified(self, tmp_path, monkeypatch):
+        from pqlab import dag_learner
+
+        solve = dag_learner.solve_dag_game
+
+        def dropping(oracle):
+            result = solve(oracle)
+            path = max(result.profile, key=result.profile.get)
+            result.profile[path] -= 1
+            return result
+
+        monkeypatch.setattr(dag_learner, "solve_dag_game", dropping)
+        code, payload = run(
+            tmp_path, "solve", "dag", "--gen", "random-dag:v=6,e=9,n=3,seed=4",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert payload["verified"] is False
+        assert payload["worst_improvement"] is None
 
     def test_learn_dag_reports_ledger(self, tmp_path):
         game_file = tmp_path / "game.json"
@@ -192,6 +213,18 @@ class TestVerifyCommand:
             ["verify", "--game", str(game_file), "--profile", str(profile_file)]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("counts", [(1, 2), (3, 2), (0, 0)])
+    def test_a_profile_with_a_wrong_player_total_is_invalid_input(
+        self, tmp_path, capsys, counts
+    ):
+        profile = {
+            "type": "profile",
+            "kind": "congestion",
+            "assignment": [{"path": [e], "count": c} for e, c in enumerate(counts)],
+        }
+        assert self._verify(tmp_path, "step:m=2,n=4,seed=0", profile) == EXIT_INVALID
+        assert f"places {sum(counts)} players" in capsys.readouterr().err
 
     def test_non_equilibrium_exits_2(self, tmp_path):
         from pqlab.cli import EXIT_VERIFY_FAILED
@@ -473,6 +506,48 @@ class TestBench:
         code = main(
             ["bench", "parallel-links", "--m", "4", "--n-min-exp", "4",
              "--n-max-exp", "6", "--seed", "1", "--out", str(out)]
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert len(out.read_text().strip().splitlines()) == 4  # every row written
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parallel-links", "--n-min-exp", "5", "--n-max-exp", "4"],
+            ["dag", "--players-min", "3", "--players-max", "2"],
+        ],
+        ids=["parallel-links", "dag"],
+    )
+    def test_an_empty_grid_is_invalid_input(self, tmp_path, monkeypatch, capsys, argv):
+        from pqlab import dag_learner
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an empty grid must be rejected before any solve")
+
+        monkeypatch.setattr(parallel_links, "solve_parallel_links", no_solve)
+        monkeypatch.setattr(dag_learner, "solve_dag_game", no_solve)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *argv, "--out", str(out)]) == EXIT_INVALID
+        assert "empty grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_row_that_drops_a_player_exits_2(self, tmp_path, monkeypatch):
+        from pqlab import dag_learner
+
+        solve = dag_learner.solve_dag_game
+
+        def dropping(oracle):
+            result = solve(oracle)
+            if oracle.players == 2:
+                path = max(result.profile, key=result.profile.get)
+                result.profile[path] -= 1
+            return result
+
+        monkeypatch.setattr(dag_learner, "solve_dag_game", dropping)
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["bench", "dag", "--v", "5", "--e", "7", "--players-min", "1",
+             "--players-max", "3", "--seed", "2", "--out", str(out)]
         )
         assert code == EXIT_VERIFY_FAILED
         assert len(out.read_text().strip().splitlines()) == 4  # every row written

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from pqlab.dag_learner import (
     solve_learned_game,
     two_edge_disjoint_paths,
 )
+from pqlab.games import edge_loads
 from pqlab.instances import gen_random_dag
 from pqlab.verify import brute_force_pure_ne, check_equivalence, deviation_report
 from tests.test_games import diamond
@@ -363,6 +365,65 @@ class TestSolveLearnedGame:
         profile = solve_learned_game(f, game.network, 3)
         loads = tuple(profile.get((i,), 0) for i in range(2))
         assert loads == greedy_parallel_ne(link_tables(game), 3)
+
+
+def _fraction_best_response(f, net, loads, current_path):
+    """The descent's best-response relaxation, in Fractions throughout."""
+    on_path = set(current_path)
+    weight = {e: f.value(e, load + (e not in on_path)) for e, load in loads.items()}
+    togo = {net.destination: F(0)}
+    for v in reversed(net.topological_order()):
+        for e in net.out_edges[v]:
+            cand = weight[e] + togo[net.edges[e][1]]
+            if v not in togo or cand < togo[v]:
+                togo[v] = cand
+    path, v = [], net.origin
+    while v != net.destination:
+        e = next(
+            e for e in net.out_edges[v] if weight[e] + togo[net.edges[e][1]] == togo[v]
+        )
+        path.append(e)
+        v = net.edges[e][1]
+    return tuple(path), togo[net.origin]
+
+
+class TestBestResponse:
+    def test_matches_the_fraction_relaxation(self):
+        # Steps of 0 or a unit fraction over denominators 1, 2, 3, 6 make many
+        # routes cost the same, so the lowest-edge-id tie-break is exercised.
+        ties = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            shape = gen_random_dag(8, 18, 3, seed)
+            net, _ = contract_network(shape.network)
+            n = shape.players
+            tables = {}
+            for e in net.edges:
+                value, table = F(0), []
+                for _ in range(n + 1):
+                    value += F(rng.choice((0, 0, 0, 1)), rng.choice((1, 2, 3, 6)))
+                    table.append(value)
+                tables[e] = table
+            f = learn_costs(CongestionOracle(CongestionGame(net, n, tables)))
+            paths = enumerate_paths(net)
+            for _ in range(30):
+                profile = {}
+                for _ in range(n):
+                    path = rng.choice(paths)
+                    profile[path] = profile.get(path, 0) + 1
+                loads = edge_loads(net, profile)
+                for path in profile:
+                    got = dag_learner._best_response(f, net, loads, path)
+                    assert got == _fraction_best_response(f, net, loads, path)
+                    assert type(got[1]) is Fraction
+                    # The least cheapest path, found by pricing every path.
+                    priced = sorted(
+                        (sum(f.value(e, loads[e] + (e not in path)) for e in p), p)
+                        for p in paths
+                    )
+                    assert got == (priced[0][1], priced[0][0])
+                    ties += priced[0][0] == priced[1][0]
+        assert ties > 100
 
 
 class TestEndToEnd:

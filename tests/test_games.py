@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqlab import (
     BimatrixGame,
@@ -22,7 +22,7 @@ from pqlab import (
     strategy_costs,
     validate_profile,
 )
-from pqlab.games import StepTable
+from pqlab.games import StepTable, exact_sum
 from pqlab.instances import gen_matching_pennies, gen_G_ell, GellSpec, gen_random_bimatrix
 from pqlab.verify import exact_ne_2x2
 
@@ -303,6 +303,29 @@ def test_costs_match_direct_summation_exhaustively():
             for path, count in profile.items():
                 if count:
                     assert costs[path] == sum(game.cost[e][loads[e]] for e in path)
+
+
+_SUMMANDS = st.one_of(
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.fractions(max_denominator=16),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SUMMANDS, max_size=60))
+@example([])
+@example([F(-7, 3)])
+@example([F(-1, 2), F(1, 2)])
+@example([F(3), F(-4), F(10**30)])
+@example([F(1, 2**61 - 1), F(1, 10**18 + 9), F(-5, 3**40), F(7, 6)])
+def test_exact_sum_equals_the_fraction_sum(xs):
+    got, want = exact_sum(xs), sum(xs, Fraction(0))
+    assert type(got) is Fraction
+    assert got == want
+    assert str(got) == str(want)
+    if len(xs) == 1:
+        assert got is xs[0]
 
 
 def _dense_step_table(levels, players):

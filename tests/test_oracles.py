@@ -1,6 +1,7 @@
 """Oracle behaviour: accounting, hiding, budgets, and the two-link adversary."""
 
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,17 @@ from pqlab import (
     PurePayoffOracle,
     adversary_query,
     consistent_completions,
+    enumerate_paths,
     parallel_links_game,
     step_link_game,
     strategy_costs,
 )
-from pqlab.instances import gen_matching_pennies, gen_random_graphical
+from pqlab.instances import (
+    gen_matching_pennies,
+    gen_random_dag,
+    gen_random_graphical,
+    gen_random_step_links,
+)
 
 F = Fraction
 
@@ -108,6 +115,46 @@ class TestCongestionOracle:
         oracle = CongestionOracle(game)
         q = {(0, 2): 1}
         assert oracle.query_loads(q) == strategy_costs(game, q)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: gen_random_dag(8, 16, 6, seed),
+            lambda seed: gen_random_dag(10, 24, 4, seed, subdivide=3),
+            lambda seed: gen_random_step_links(5, 40, seed),
+        ],
+        ids=["random-dag", "random-dag-subdivided", "step-links"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prices_every_path_by_its_edges(self, make, seed):
+        # Reference pricing written here: count each edge's players, then add
+        # the path's table entries one Fraction at a time.
+        game = make(seed)
+        paths = enumerate_paths(game)
+        rng = random.Random(seed)
+        for _ in range(25):
+            players = game.players
+            query = {}
+            for path in rng.sample(paths, min(len(paths), rng.randint(1, 4))):
+                count = rng.randint(0, players)
+                query[path] = count
+                players -= count
+            loads = {e: 0 for e in game.edges}
+            for path, count in query.items():
+                for e in path:
+                    loads[e] += count
+            want = {}
+            for path in query:
+                total = Fraction(0)
+                for e in path:
+                    total = total + game.cost[e][loads[e]]
+                want[path] = total
+            got = strategy_costs(game, query)
+            assert got == want
+            assert {p: str(v) for p, v in got.items()} == {
+                p: str(v) for p, v in want.items()
+            }
+            assert CongestionOracle(game).query_loads(query) == want
 
     def test_load_out_of_range_not_counted(self):
         game = parallel_links_game([[0, 1], [0, 1]], 1)

@@ -345,12 +345,30 @@ def test_link_loads_that_drop_players_are_rejected(loads):
         deviation_report(game, {(e,): x for e, x in enumerate(loads)})
 
 
+# What verify.py may take from games.py: the game types and the evaluation
+# semantics.  The solvers' arithmetic helpers, such as exact_sum, stay out,
+# so that ground truth adds its own Fractions.
+VERIFY_GAMES_IMPORTS = {
+    "BimatrixGame",
+    "CongestionGame",
+    "GraphicalGame",
+    "MixedProfile",
+    "Path",
+    "edge_loads",
+    "enumerate_paths",
+    "validate_profile",
+}
+
+
 def test_verify_imports_only_the_standard_library_games_and_errors():
     # Ground truth stays independent of the solvers it checks.
+    assert "exact_sum" not in VERIFY_GAMES_IMPORTS
     tree = ast.parse(Path(pqlab.verify.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             assert node.level == 1 and node.module in {"games", "errors"}
+            if node.module == "games":
+                assert {alias.name for alias in node.names} <= VERIFY_GAMES_IMPORTS
         elif isinstance(node, ast.ImportFrom):
             assert node.module.split(".")[0] in sys.stdlib_module_names
         elif isinstance(node, ast.Import):
