@@ -4,26 +4,14 @@ Equilibrium computation where the game is hidden behind a query oracle:
 bimatrix approximation, graphical-game reconstruction, and congestion games
 on parallel links and DAGs, with exact rational arithmetic, strict query
 accounting, adversarial lower-bound oracles, and brute-force verification.
+
+The top level exports the paper's entry points: games, oracles and their
+ledger, generators, solvers and learners, and the ground-truth checks.  The
+steps inside them stay reachable as ``pqlab.<module>.<name>``.
 """
 
-from .bimatrix import HalfNeResult, half_approx_ne, tiebreak_best_response, uniform_profile
-from .dag_learner import (
-    ContractedOracle,
-    ContractionMap,
-    DagSolveResult,
-    PartialCostFunction,
-    contract_network,
-    choose_p1_p3,
-    choose_p4_p5,
-    find_bridges,
-    learn_costs,
-    learn_level,
-    learn_one_player,
-    preprocess_contract,
-    solve_dag_game,
-    solve_learned_game,
-    two_edge_disjoint_paths,
-)
+from .bimatrix import half_approx_ne
+from .dag_learner import learn_costs, solve_dag_game
 from .errors import (
     AlgorithmInvariantViolated,
     BudgetExhausted,
@@ -43,16 +31,10 @@ from .games import (
     GraphicalGame,
     MixedProfile,
     Network,
-    bimatrix_payoffs,
-    edge_loads,
-    enumerate_paths,
-    link_tables,
     parallel_links_game,
     regret,
-    strategy_costs,
-    validate_profile,
 )
-from .graphical import LearnedGraphicalGame, build_probe_set, learn_graphical, probe_set_size
+from .graphical import learn_graphical
 from .instances import (
     GellSpec,
     StepLinkSpec,
@@ -65,25 +47,9 @@ from .instances import (
     gen_random_step_links,
     gen_step_links,
 )
-from .oracles import (
-    AdversaryLinkOracle,
-    AdversaryState,
-    CongestionOracle,
-    PurePayoffOracle,
-    QueryLedger,
-    adversary_query,
-    consistent_completions,
-    step_link_game,
-)
-from .parallel_links import (
-    LinkLoads,
-    ParallelLinksResult,
-    default_group_factor,
-    refine_profile,
-    solve_parallel_links,
-)
+from .oracles import AdversaryLinkOracle, CongestionOracle, PurePayoffOracle, QueryLedger
+from .parallel_links import solve_parallel_links
 from .verify import (
-    DeviationReport,
     brute_force_pure_ne,
     check_equivalence,
     deviation_report,

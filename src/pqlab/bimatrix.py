@@ -1,7 +1,8 @@
 """Query algorithms for bimatrix games.
 
 Two routes to an approximate equilibrium: a 2k-1-query algorithm with regret
-at most 1/2, and the zero-query uniform profile with regret at most 1 - 1/k.
+at most 1/2, and the zero-query uniform profile (``MixedProfile.uniform``)
+with regret at most 1 - 1/k.
 """
 
 from __future__ import annotations
@@ -62,8 +63,3 @@ def half_approx_ne(oracle: PurePayoffOracle) -> HalfNeResult:
         queries_used=oracle.ledger.count - before,
         trace=(s1, s2, s3),
     )
-
-
-def uniform_profile(k_row: int, k_col: int) -> MixedProfile:
-    """Uniform/uniform mixture; regret is at most 1 - 1/k on any [0,1] game."""
-    return MixedProfile.uniform(k_row, k_col)

@@ -1,8 +1,9 @@
 """Command-line front end: gen, solve, learn, verify, bench.
 
 Exit codes: 0 success, 2 verification failed, 3 query budget exhausted,
-4 invalid input.  All randomized generators require an explicit seed so
-identical invocations produce byte-identical artifacts.
+4 invalid input (a usage error included).  All randomized generators
+require an explicit seed so identical invocations produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NoReturn
 
 from . import bimatrix as bm
 from . import dag_learner as dag
@@ -40,38 +42,63 @@ EXIT_BUDGET = 3
 EXIT_INVALID = 4
 
 
+# Each generator family: its builder, and its parameters in the builder's
+# argument order, each with its default (None: the parameter is required).
+_FAMILIES: dict[str, tuple[Callable[..., object], dict[str, int | None]]] = {
+    "pennies": (instances.gen_matching_pennies, {"k": 2}),
+    "gell": (lambda ell: instances.gen_G_ell(instances.GellSpec(ell)), {"ell": None}),
+    "rell": (instances.gen_R_ell, {"k": None, "target": 0}),
+    "random-bimatrix": (instances.gen_random_bimatrix, {"k": None, "seed": None}),
+    "random-graphical": (
+        instances.gen_random_graphical, {"n": None, "k": None, "d": None, "seed": None}
+    ),
+    "step": (instances.gen_random_step_links, {"m": 2, "n": None, "seed": 0}),
+    "random-dag": (
+        instances.gen_random_dag,
+        {"v": 6, "e": 10, "n": None, "seed": None, "subdivide": 0},
+    ),
+}
+_FAMILIES["random"] = _FAMILIES["random-bimatrix"]
+
+
 def _parse_gen_spec(spec: str) -> tuple[str, dict[str, int]]:
-    """Parse 'family:key=value,...' generator specs."""
+    """Parse 'family:key=value,...' generator specs; every value is an integer."""
     family, _, rest = spec.partition(":")
     params: dict[str, int] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
-                raise ValueError(f"malformed generator parameter {item!r}")
-            params[key.strip()] = int(value)
+                raise InvalidSpec(f"malformed generator parameter {item!r}")
+            if key in params:
+                raise InvalidSpec(f"generator parameter {key!r} is given twice")
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise InvalidSpec(
+                    f"generator parameter {key!r} must be an integer, got {value!r}"
+                ) from None
     return family.strip(), params
 
 
 def make_game(spec: str):
-    family, p = _parse_gen_spec(spec)
-    if family == "pennies":
-        return instances.gen_matching_pennies(p.get("k", 2))
-    if family == "gell":
-        return instances.gen_G_ell(instances.GellSpec(p["ell"]))
-    if family == "rell":
-        return instances.gen_R_ell(p["k"], p.get("target", 0))
-    if family == "random-bimatrix" or family == "random":
-        return instances.gen_random_bimatrix(p["k"], p["seed"])
-    if family == "random-graphical":
-        return instances.gen_random_graphical(p["n"], p["k"], p["d"], p["seed"])
-    if family == "step":
-        return instances.gen_random_step_links(p.get("m", 2), p["n"], p.get("seed", 0))
-    if family == "random-dag":
-        return instances.gen_random_dag(
-            p.get("v", 6), p.get("e", 10), p["n"], p["seed"], p.get("subdivide", 0)
+    """Build the game a generator spec names, or raise InvalidSpec."""
+    family, given = _parse_gen_spec(spec)
+    if family not in _FAMILIES:
+        raise InvalidSpec(
+            f"unknown generator family {family!r}; known: {', '.join(_FAMILIES)}"
         )
-    raise ValueError(f"unknown generator family {family!r}")
+    build, params = _FAMILIES[family]
+    unknown = [key for key in given if key not in params]
+    if unknown:
+        raise InvalidSpec(
+            f"{family} has no parameter {unknown[0]!r}; it takes {', '.join(params)}"
+        )
+    missing = [k for k, default in params.items() if default is None and k not in given]
+    if missing:
+        raise InvalidSpec(f"{family} needs the parameter {missing[0]!r}")
+    return build(*(given.get(key, default) for key, default in params.items()))
 
 
 def _load_or_gen(args):
@@ -80,7 +107,7 @@ def _load_or_gen(args):
             return serialize.load_game(fp)
     if getattr(args, "gen", None):
         return make_game(_with_seed(args))
-    raise ValueError("provide --game FILE or --gen SPEC")
+    raise InvalidSpec("provide --game FILE or --gen SPEC")
 
 
 def _with_seed(args) -> str:
@@ -111,7 +138,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve_bimatrix(args) -> int:
     game = _load_or_gen(args)
     if not isinstance(game, BimatrixGame):
-        raise ValueError("solve bimatrix needs a bimatrix game")
+        raise InvalidSpec("solve bimatrix needs a bimatrix game")
     if args.algo == "half-ne":
         oracle = PurePayoffOracle(game, max_queries=args.budget)
         result = bm.half_approx_ne(oracle)
@@ -122,15 +149,13 @@ def _cmd_solve_bimatrix(args) -> int:
             "trace": list(result.trace),
             "queries_used": result.queries_used,
         }
-    elif args.algo == "uniform":
-        profile = bm.uniform_profile(game.rows, game.cols)
+    else:
+        profile = MixedProfile.uniform(game.rows, game.cols)
         payload = {
             "algorithm": "uniform",
             "profile": serialize.profile_to_dict(profile),
             "queries_used": 0,
         }
-    else:
-        raise ValueError(f"unknown algorithm {args.algo!r}")
     eps = regret(game, profile)
     payload["regret"] = str(eps)
     if args.algo == "half-ne":
@@ -150,7 +175,7 @@ def _cmd_solve_parallel_links(args) -> int:
             _, params = _parse_gen_spec(args.gen)
             players = params.get("n")
         if not players:
-            raise ValueError("--adversary needs --players or a --gen spec with n=")
+            raise InvalidSpec("--adversary needs --players or a --gen spec with n=")
         oracle = AdversaryLinkOracle(players, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
         completions = list(consistent_completions(oracle.state))
@@ -161,8 +186,8 @@ def _cmd_solve_parallel_links(args) -> int:
         )
     else:
         game = _load_or_gen(args)
-        if not isinstance(game, CongestionGame) or not game.is_parallel_links:
-            raise ValueError("solve parallel-links needs a parallel-links game")
+        if not (isinstance(game, CongestionGame) and game.network.is_parallel_links):
+            raise InvalidSpec("solve parallel-links needs a parallel-links game")
         oracle = CongestionOracle(game, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
         verified = _links_verified(game, result.loads.loads)
@@ -204,7 +229,7 @@ def _solver_report(game: CongestionGame, profile) -> verify.DeviationReport | No
 def _cmd_solve_dag(args) -> int:
     game = _load_or_gen(args)
     if not isinstance(game, CongestionGame):
-        raise ValueError("solve dag needs a congestion game")
+        raise InvalidSpec("solve dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
     result = dag.solve_dag_game(oracle)
     report = _solver_report(game, result.profile)
@@ -224,7 +249,7 @@ def _cmd_solve_dag(args) -> int:
 def _cmd_learn_graphical(args) -> int:
     game = _load_or_gen(args)
     if not isinstance(game, GraphicalGame):
-        raise ValueError("learn graphical needs a graphical game")
+        raise InvalidSpec("learn graphical needs a graphical game")
     oracle = PurePayoffOracle(game, max_queries=args.budget)
     learned = gg.learn_graphical(
         oracle, game.players, game.strategies, args.degree
@@ -242,7 +267,7 @@ def _cmd_learn_graphical(args) -> int:
 def _cmd_learn_dag(args) -> int:
     game = _load_or_gen(args)
     if not isinstance(game, CongestionGame):
-        raise ValueError("learn dag needs a congestion game")
+        raise InvalidSpec("learn dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
     reduced_game, cmap = dag.preprocess_contract(game)
     view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
@@ -358,7 +383,7 @@ def _cmd_bench(args) -> int:
             )
             report = _solver_report(game, result.profile)
             verdicts.append(report is not None and report.is_equilibrium)
-    elif args.family == "graphical":
+    else:
         n, k, d = args.players_max, args.k, args.d
         game = instances.gen_random_graphical(n, k, d, args.seed)
         oracle = PurePayoffOracle(game)
@@ -377,8 +402,6 @@ def _cmd_bench(args) -> int:
             }
         )
         verdicts.append(learned.game == game)
-    else:
-        raise ValueError(f"unknown bench family {args.family!r}")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
@@ -390,10 +413,16 @@ def _cmd_bench(args) -> int:
     return EXIT_OK if all(verdicts) else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, invalid input; argparse's 2 means a failed check."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pqlab", description="payoff-query equilibrium laboratory"
-    )
+    parser = _Parser(prog="pqlab", description="payoff-query equilibrium laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a game as JSON")

@@ -734,7 +734,6 @@ class DagSolveResult:
     """End-to-end outcome: learned costs, equilibrium, and accounting."""
 
     profile: dict[Path, int]
-    reduced_profile: dict[Path, int]
     learned: PartialCostFunction
     contraction: ContractionMap
     queries_used: int
@@ -747,10 +746,8 @@ def solve_dag_game(oracle) -> DagSolveResult:
     view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
     f = learn_costs(view)
     reduced_profile = solve_learned_game(f, cmap.reduced, oracle.players)
-    profile = cmap.map_profile_back(reduced_profile)
     return DagSolveResult(
-        profile=profile,
-        reduced_profile=reduced_profile,
+        profile=cmap.map_profile_back(reduced_profile),
         learned=f,
         contraction=cmap,
         queries_used=oracle.ledger.count - before,

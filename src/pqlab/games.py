@@ -304,6 +304,12 @@ class Network:
     def topo_position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self._order)}
 
+    @property
+    def is_parallel_links(self) -> bool:
+        """Whether every edge goes from the origin to the destination."""
+        ends = (self.origin, self.destination)
+        return all(pair == ends for pair in self.edges.values())
+
     def least_path(
         self, frm: int, to: int, banned_edges: frozenset[int] | set[int] = frozenset()
     ) -> Path | None:
@@ -504,11 +510,6 @@ class CongestionGame:
     def destination(self) -> int:
         return self.network.destination
 
-    @property
-    def is_parallel_links(self) -> bool:
-        o, d = self.origin, self.destination
-        return all(pair == (o, d) for pair in self.edges.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CongestionGame):
             return NotImplemented
@@ -532,7 +533,7 @@ def parallel_links_game(tables: Sequence[Sequence[object]], players: int) -> Con
 
 def link_tables(game: CongestionGame) -> list[Sequence[Fraction]]:
     """Cost tables of a parallel-links game, in edge-id order."""
-    if not game.is_parallel_links:
+    if not game.network.is_parallel_links:
         raise InvalidSpec("game is not a parallel-links game")
     return [game.cost[e] for e in sorted(game.edges)]
 

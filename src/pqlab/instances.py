@@ -116,22 +116,6 @@ def gen_R_ell(k: int, target_row: int) -> BimatrixGame:
     return BimatrixGame(row, col)
 
 
-def gen_modified_for_row(game: BimatrixGame, row: int, queried_cols: set[int]) -> BimatrixGame:
-    """Copy of the game with the row's un-queried entries raised to payoff 1.
-
-    Test helper for refuting low-query algorithms: the modified game agrees
-    with the original on every queried profile of the chosen row.
-    """
-    new_row = tuple(
-        tuple(
-            v if (i != row or j in queried_cols) else _ONE
-            for j, v in enumerate(r)
-        )
-        for i, r in enumerate(game.row_payoff)
-    )
-    return BimatrixGame(new_row, game.col_payoff)
-
-
 def gen_step_links(spec: StepLinkSpec) -> CongestionGame:
     """Parallel-links game with the given per-link step tables.
 
@@ -191,6 +175,8 @@ def gen_random_dag(
         raise InvalidSpec("need at least origin and destination")
     if edges < 1:
         raise InvalidSpec("need at least one edge")
+    if subdivide < 0:
+        raise InvalidSpec(f"subdivide must be >= 0, got {subdivide}")
     rng = random.Random(seed)
     o, d = 0, vertices - 1
     spine_len = rng.randint(0, min(max(0, vertices - 2), edges - 1))

@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import AlgorithmInvariantViolated, InvalidSpec
-from .games import Path, enumerate_paths
+from .games import Path
 
 # The check lives in verify; benchmarks/run.py still reaches it from here.
 from .verify import is_delta_equilibrium  # noqa: F401
@@ -59,10 +59,6 @@ class LinkLoads:
             raise InvalidSpec("special link index out of range")
         if any(x < 0 for x in self.loads):
             raise InvalidSpec("negative link load")
-
-    @property
-    def total(self) -> int:
-        return sum(self.loads)
 
 
 @dataclass(frozen=True)
@@ -356,10 +352,10 @@ def _refine_phase(
 
 
 def _link_paths(oracle) -> list[Path]:
-    paths = sorted(enumerate_paths(oracle.network))
-    if any(len(p) != 1 for p in paths):
+    net = oracle.network
+    if not net.is_parallel_links:
         raise InvalidSpec("oracle is not a parallel-links game")
-    return paths
+    return [(e,) for e in sorted(net.edges)]
 
 
 def solve_parallel_links(oracle, group_factor: int | None = None) -> ParallelLinksResult:

@@ -1,4 +1,4 @@
-"""JSON encodings for games, profiles, and load assignments.
+"""JSON encodings for games and profiles.
 
 The wire formats are documented in docs/formats.md.  Rationals are encoded
 as strings ("3/4", "2"); parse(emit(x)) == x is a hard requirement and is
@@ -218,40 +218,21 @@ def profile_from_dict(data: Mapping[str, Any]) -> object:
             [parse_rational(p) for p in data["col"]],
         )
     if kind == "congestion":
-        return _assignment(data["assignment"])
+        # A path listed twice would hide a count, so it is rejected.
+        assignment: dict[Path, int] = {}
+        for entry in data["assignment"]:
+            if not isinstance(entry["path"], list):
+                raise InvalidProfile(
+                    f"path {entry['path']!r} is not a list of edge ids"
+                )
+            path = tuple(_int(e) for e in entry["path"])
+            if path in assignment:
+                raise InvalidProfile(f"path {list(path)} is listed twice")
+            assignment[path] = _int(entry["count"])
+        return assignment
     if kind == "pure":
         return tuple(_int(s) for s in data["strategies"])
     raise InvalidSpec(f"unknown profile kind {kind!r}")
-
-
-def loads_to_dict(loads: Mapping[Path, int]) -> dict[str, Any]:
-    return {
-        "type": "loads",
-        "loads": [
-            {"path": list(path), "count": count} for path, count in sorted(loads.items())
-        ],
-    }
-
-
-@_document(InvalidProfile, "loads")
-def loads_from_dict(data: Mapping[str, Any]) -> dict[Path, int]:
-    if data.get("type") != "loads":
-        raise InvalidSpec("not a load-assignment document")
-    return _assignment(data["loads"])
-
-
-def _assignment(entries) -> dict[Path, int]:
-    """Path -> count from ``[{"path": [...], "count": c}, ...]``; a path
-    listed twice would hide a count, so it is rejected."""
-    assignment: dict[Path, int] = {}
-    for entry in entries:
-        if not isinstance(entry["path"], list):
-            raise InvalidProfile(f"path {entry['path']!r} is not a list of edge ids")
-        path = tuple(_int(e) for e in entry["path"])
-        if path in assignment:
-            raise InvalidProfile(f"path {list(path)} is listed twice")
-        assignment[path] = _int(entry["count"])
-    return assignment
 
 
 def load_game(fp):

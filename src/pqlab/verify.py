@@ -37,7 +37,11 @@ _SAMPLE_SEED = 0
 
 
 def _cap() -> int:
-    return int(os.environ.get("PQLAB_CAP", DEFAULT_CAP))
+    text = os.environ.get("PQLAB_CAP", str(DEFAULT_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSpec(f"PQLAB_CAP must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ def deviation_report(game: CongestionGame, profile: Mapping[Path, int]) -> Devia
     loads = validate_profile(game, profile)
     other_join = (
         _other_join(game.cost, loads.items(), 1, game.players)
-        if game.is_parallel_links
+        if game.network.is_parallel_links
         else None
     )
     best = _ZERO

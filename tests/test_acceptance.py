@@ -19,10 +19,8 @@ from pqlab import (
     CongestionOracle,
     MixedProfile,
     PurePayoffOracle,
-    consistent_completions,
     half_approx_ne,
     regret,
-    uniform_profile,
 )
 from pqlab.dag_learner import contract_network, preprocess_contract, solve_dag_game
 from pqlab.games import link_tables
@@ -37,6 +35,7 @@ from pqlab.instances import (
     gen_random_step_links,
     rows_winning_in_column,
 )
+from pqlab.oracles import consistent_completions
 from pqlab.parallel_links import solve_parallel_links
 from pqlab.verify import (
     brute_force_pure_ne,
@@ -79,7 +78,7 @@ def test_criterion_02_uniform_fallback_bound():
         bound = 1 - F(1, 4)
         for seed in range(1000):
             game = gen_random_bimatrix(4, seed)
-            assert regret(game, uniform_profile(4, 4)) <= bound
+            assert regret(game, MixedProfile.uniform(4, 4)) <= bound
 
 
 def _uniform_over_winning_rows_payoff(game: BimatrixGame, j: int, alpha: F) -> F:

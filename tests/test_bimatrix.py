@@ -2,14 +2,8 @@
 
 from fractions import Fraction
 
-from pqlab import (
-    MixedProfile,
-    PurePayoffOracle,
-    half_approx_ne,
-    regret,
-    tiebreak_best_response,
-    uniform_profile,
-)
+from pqlab import MixedProfile, PurePayoffOracle, half_approx_ne, regret
+from pqlab.bimatrix import tiebreak_best_response
 from pqlab.instances import (
     gen_matching_pennies,
     gen_R_ell,
@@ -84,15 +78,15 @@ class TestHalfApproxNe:
 
 class TestUniformProfile:
     def test_quarter_masses(self):
-        profile = uniform_profile(4, 4)
+        profile = MixedProfile.uniform(4, 4)
         assert profile.row_dist == (F(1, 4),) * 4
         assert profile.col_dist == (F(1, 4),) * 4
 
     def test_regret_bound_on_random_games(self):
         for seed in range(300):
             game = gen_random_bimatrix(4, seed)
-            assert regret(game, uniform_profile(4, 4)) <= 1 - F(1, 4)
+            assert regret(game, MixedProfile.uniform(4, 4)) <= 1 - F(1, 4)
 
     def test_pennies_uniform_exact(self):
         game = gen_matching_pennies(4)
-        assert regret(game, uniform_profile(4, 4)) == 0
+        assert regret(game, MixedProfile.uniform(4, 4)) == 0

@@ -2,15 +2,19 @@
 
 import dataclasses
 import json
+import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pqlab import parallel_links, serialize
+from pqlab import InvalidSpec, parallel_links, serialize
 from pqlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
     make_game,
 )
@@ -42,6 +46,123 @@ class TestGen:
     def test_unknown_family_is_invalid_input(self, tmp_path):
         code, _ = run(tmp_path, "gen", "nonsense:k=2")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("nonsense:k=2", "unknown generator family 'nonsense'"),
+            ("random-dag:v=5", "random-dag needs the parameter 'n'"),
+            ("random-graphical:n=3,k=2,seed=0", "needs the parameter 'd'"),
+            ("step:m=2,n=4,sead=5", "step has no parameter 'sead'"),
+            ("pennies:k=2,seed=9", "pennies has no parameter 'seed'"),
+            ("gell:ell=4,seed=1", "gell has no parameter 'seed'"),
+            ("step:m=two,n=4", "parameter 'm' must be an integer, got 'two'"),
+            ("step:n=4.5", "parameter 'n' must be an integer"),
+            ("step:n=4,n=5", "parameter 'n' is given twice"),
+            ("step:n=4,", "malformed generator parameter ''"),
+            ("random-dag:n=3,seed=1,subdivide=-1", "subdivide must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_spec_is_invalid_spec_naming_the_parameter(
+        self, tmp_path, capsys, spec, message
+    ):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            make_game(spec)
+        code, _ = run(tmp_path, "gen", spec)
+        assert code == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+
+# Every generator family with the parameters it takes.
+SPEC_PARAMS = {
+    "pennies": ("k",),
+    "gell": ("ell",),
+    "rell": ("k", "target"),
+    "random-bimatrix": ("k", "seed"),
+    "random": ("k", "seed"),
+    "random-graphical": ("n", "k", "d", "seed"),
+    "step": ("m", "n", "seed"),
+    "random-dag": ("v", "e", "n", "seed", "subdivide"),
+}
+NAMES = sorted({name for names in SPEC_PARAMS.values() for name in names} | {"sead"})
+
+
+@st.composite
+def gen_specs(draw):
+    """A family, some of its parameters and maybe one it does not take, with
+    values in -3..6.  A graphical game has n*k^(d+1) payoffs, so its k and d
+    stay below 4 to keep every game tiny."""
+    family = draw(st.sampled_from(sorted(SPEC_PARAMS)))
+    takes = SPEC_PARAMS[family]
+    names = draw(st.lists(st.sampled_from(takes), unique=True))
+    if draw(st.booleans()):
+        names.append(draw(st.sampled_from([n for n in NAMES if n not in takes])))
+    small = ("k", "d") if family == "random-graphical" else ()
+    values = [draw(st.integers(-3, 3 if name in small else 6)) for name in names]
+    return family + ":" + ",".join(f"{k}={v}" for k, v in zip(names, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=gen_specs())
+def test_any_spec_builds_a_game_or_is_invalid_spec(spec):
+    try:
+        make_game(spec)
+    except InvalidSpec:
+        want = EXIT_INVALID
+    else:
+        want = EXIT_OK
+    # Any other exception escapes main as a traceback and fails the test.
+    assert main(["gen", spec, "--out", os.devnull]) == want
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as "verification failed"."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "bimatrix", "--gen", "pennies:k=2", "--budget", "x"],
+             "argument --budget: invalid int value: 'x'"),
+            (["solve"], "the following arguments are required: target"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["bench", "nope"], "argument family: invalid choice: 'nope'"),
+        ],
+        ids=["budget", "no-target", "command", "bench-family"],
+    )
+    def test_usage_error_exits_4_with_argparse_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pqlab")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "dag", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: pqlab")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "dag"], "provide --game FILE or --gen SPEC"),
+        (["solve", "bimatrix", "--gen", "step:n=4"], "needs a bimatrix game"),
+        (["solve", "parallel-links", "--gen", "random-dag:n=2,seed=0"],
+         "needs a parallel-links game"),
+        (["solve", "parallel-links", "--adversary"], "--adversary needs --players"),
+        (["solve", "dag", "--gen", "pennies"], "needs a congestion game"),
+        (["learn", "graphical", "--degree", "1", "--gen", "pennies"],
+         "needs a graphical game"),
+        (["learn", "dag", "--gen", "pennies"], "needs a congestion game"),
+    ],
+)
+def test_wrong_input_for_the_command_is_invalid_spec(argv, message):
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        args.func(args)
 
 
 class TestSolveBimatrix:

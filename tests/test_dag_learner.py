@@ -16,7 +16,6 @@ from pqlab import (
     InvalidSpec,
     Network,
     PotentialNotDecreasing,
-    enumerate_paths,
 )
 from pqlab import dag_learner
 from pqlab.dag_learner import (
@@ -34,7 +33,7 @@ from pqlab.dag_learner import (
     solve_learned_game,
     two_edge_disjoint_paths,
 )
-from pqlab.games import edge_loads
+from pqlab.games import edge_loads, enumerate_paths
 from pqlab.instances import gen_random_dag
 from pqlab.verify import brute_force_pure_ne, check_equivalence, deviation_report
 from tests.test_games import diamond

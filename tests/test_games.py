@@ -14,15 +14,18 @@ from pqlab import (
     MixedProfile,
     Network,
     NotADag,
+    parallel_links_game,
+    regret,
+)
+from pqlab.games import (
+    StepTable,
     bimatrix_payoffs,
     edge_loads,
     enumerate_paths,
-    parallel_links_game,
-    regret,
+    exact_sum,
     strategy_costs,
     validate_profile,
 )
-from pqlab.games import StepTable, exact_sum
 from pqlab.instances import gen_matching_pennies, gen_G_ell, GellSpec, gen_random_bimatrix
 from pqlab.verify import exact_ne_2x2
 
@@ -189,6 +192,14 @@ class TestPathsAndOrder:
     def test_chain_plus_shortcut(self):
         net = Network((0, 1, 2), {0: (0, 1), 1: (1, 2), 2: (0, 2)}, 0, 2)
         assert set(enumerate_paths(net)) == {(0, 1), (2,)}
+
+    def test_parallel_links_means_every_edge_joins_origin_to_destination(self):
+        links = parallel_links_game([[0, 1], [1, 1], [2, 2]], 1)
+        assert links.network.is_parallel_links
+        assert Network((0, 1), {0: (0, 1)}, 0, 1).is_parallel_links
+        assert not diamond().network.is_parallel_links
+        shortcut = Network((0, 1, 2), {0: (0, 1), 1: (1, 2), 2: (0, 2)}, 0, 2)
+        assert not shortcut.is_parallel_links
 
     def test_paths_unique_and_connected(self):
         from pqlab.instances import gen_random_dag

@@ -180,6 +180,10 @@ class TestRandomGenerators:
             game.network.topological_order()
             assert game.network.origin in game.network.vertices
 
+    def test_negative_subdivide_rejected(self):
+        with pytest.raises(InvalidSpec, match="subdivide"):
+            gen_random_dag(6, 10, 3, 0, subdivide=-1)
+
     def test_random_graphical_degree_bound(self):
         game = gen_random_graphical(5, 2, 2, seed=4)
         assert max(len(nbrs) for nbrs in game.in_neighbors) <= 2
@@ -192,33 +196,3 @@ class TestRandomGenerators:
             gen_random_step_links(3, 9, seed)
             gen_random_dag(5, 7, 2, seed)
             gen_random_graphical(4, 2, 1, seed)
-
-
-class TestModifiedRowHelper:
-    def test_unqueried_entries_become_ones(self):
-        from pqlab.instances import gen_modified_for_row
-
-        game = gen_G_ell(GellSpec(4))
-        row = 3
-        queried = {0, 2}
-        modified = gen_modified_for_row(game, row, queried)
-        for j in range(game.cols):
-            if j in queried:
-                assert modified.row_payoff[row][j] == game.row_payoff[row][j]
-            else:
-                assert modified.row_payoff[row][j] == 1
-        # Other rows and the column table are untouched.
-        for i in range(game.rows):
-            if i != row:
-                assert modified.row_payoff[i] == game.row_payoff[i]
-        assert modified.col_payoff == game.col_payoff
-
-    def test_modified_game_rewards_the_padded_row(self):
-        # A profile that looked settled on the original game leaves large
-        # regret on the padded twin: the row player deviates to the row.
-        from pqlab.instances import gen_modified_for_row
-
-        game = gen_G_ell(GellSpec(4))
-        modified = gen_modified_for_row(game, 0, set())
-        profile = MixedProfile.uniform(game.rows, game.cols)
-        assert regret(modified, profile) >= F(1, 2) - F(1, game.rows)

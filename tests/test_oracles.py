@@ -9,25 +9,26 @@ from hypothesis import given, strategies as st
 
 from pqlab import (
     AdversaryLinkOracle,
-    AdversaryState,
     BudgetExhausted,
     CongestionOracle,
     GraphicalGame,
     InvalidProfile,
     LoadOutOfRange,
     PurePayoffOracle,
-    adversary_query,
-    consistent_completions,
-    enumerate_paths,
     parallel_links_game,
-    step_link_game,
-    strategy_costs,
 )
+from pqlab.games import enumerate_paths, strategy_costs
 from pqlab.instances import (
     gen_matching_pennies,
     gen_random_dag,
     gen_random_graphical,
     gen_random_step_links,
+)
+from pqlab.oracles import (
+    AdversaryState,
+    adversary_query,
+    consistent_completions,
+    step_link_game,
 )
 
 F = Fraction

@@ -8,23 +8,23 @@ from fractions import Fraction
 
 import pytest
 
+import pqlab.games
+import pqlab.parallel_links
 from pqlab import (
     AdversaryLinkOracle,
     AlgorithmInvariantViolated,
     CongestionOracle,
     InvalidSpec,
-    LinkLoads,
     Network,
     QueryLedger,
-    consistent_completions,
     parallel_links_game,
     solve_parallel_links,
-    step_link_game,
 )
 from pqlab.cli import EXIT_OK, main
 from pqlab.games import link_tables
-from pqlab.instances import gen_random_step_links
-from pqlab.parallel_links import default_group_factor, refine_profile
+from pqlab.instances import gen_random_dag, gen_random_step_links
+from pqlab.oracles import consistent_completions, step_link_game
+from pqlab.parallel_links import LinkLoads, default_group_factor, refine_profile
 from pqlab.verify import is_delta_equilibrium
 
 F = Fraction
@@ -109,6 +109,19 @@ class TestPhasePlan:
         oracle = CongestionOracle(step_link_game(16, 5))
         with pytest.raises(InvalidSpec):
             solve_parallel_links(oracle, 1)
+        assert oracle.ledger.count == 0
+
+    def test_dag_rejected_without_enumerating_its_paths(self, monkeypatch):
+        # This network has 98,318 o-d paths; telling that it is not parallel
+        # links reads each edge once.
+        def no_enumeration(game):
+            raise AssertionError("enumerate_paths called")
+
+        for module in (pqlab.games, pqlab.parallel_links):
+            monkeypatch.setattr(module, "enumerate_paths", no_enumeration, raising=False)
+        oracle = CongestionOracle(gen_random_dag(60, 140, 24, 0))
+        with pytest.raises(InvalidSpec, match="not a parallel-links game"):
+            solve_parallel_links(oracle)
         assert oracle.ledger.count == 0
 
     def test_default_group_factor(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqlab import InvalidProfile, InvalidSpec, MixedProfile
+from pqlab import InvalidSpec, MixedProfile
 from pqlab.instances import (
     GellSpec,
     gen_G_ell,
@@ -20,8 +20,6 @@ from pqlab.serialize import (
     game_from_dict,
     game_to_dict,
     load_game,
-    loads_from_dict,
-    loads_to_dict,
     parse_rational,
     profile_from_dict,
     profile_to_dict,
@@ -79,28 +77,6 @@ def test_congestion_profile_notation_round_trips():
     profile = {(0, 2): 1, (1, 3): 3}
     data = json.loads(json.dumps(profile_to_dict(profile)))
     assert profile_from_dict(data) == profile
-
-
-def test_load_assignment_round_trip():
-    loads = {(0,): 2, (1,): 0}
-    assert loads_from_dict(loads_to_dict(loads)) == loads
-
-
-@pytest.mark.parametrize(
-    "document",
-    [
-        [{"type": "loads", "loads": []}],
-        {"type": "loads", "loads": [{"path": [0], "count": None}]},
-        {"type": "loads", "loads": [{"path": [0], "count": 1.5}]},
-        {"type": "loads", "loads": [{"path": [0], "count": 1},
-                                    {"path": [0], "count": 2}]},
-        {"type": "loads"},
-        {"type": "loads", "loads": [{"path": [0]}]},
-    ],
-)
-def test_malformed_load_assignment_is_invalid_profile(document):
-    with pytest.raises(InvalidProfile):
-        loads_from_dict(document)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from pqlab import (
     CongestionGame,
     CongestionOracle,
     InvalidProfile,
+    InvalidSpec,
     MixedProfile,
     Network,
     TooLarge,
@@ -219,6 +220,12 @@ def test_cap_env_override(monkeypatch):
         brute_force_pure_ne(game)
     monkeypatch.setenv("PQLAB_CAP", "1000000")
     assert brute_force_pure_ne(game)
+
+
+def test_cap_env_that_is_no_integer_is_invalid_spec(monkeypatch):
+    monkeypatch.setenv("PQLAB_CAP", "lots")
+    with pytest.raises(InvalidSpec, match="PQLAB_CAP"):
+        brute_force_pure_ne(diamond(players=3))
 
 
 def _reference_report(game, profile):
