@@ -95,7 +95,7 @@ def make_game(spec: str):
         raise InvalidSpec(
             f"{family} has no parameter {unknown[0]!r}; it takes {', '.join(params)}"
         )
-    missing = [k for k, default in params.items() if default is None and k not in given]
+    missing = [key for key in params if params[key] is None and key not in given]
     if missing:
         raise InvalidSpec(f"{family} needs the parameter {missing[0]!r}")
     return build(*(given.get(key, default) for key, default in params.items()))
