@@ -26,15 +26,9 @@ from .games import (
     CongestionGame,
     GraphicalGame,
     MixedProfile,
-    enumerate_paths,
     regret,
 )
-from .oracles import (
-    AdversaryLinkOracle,
-    CongestionOracle,
-    PurePayoffOracle,
-    consistent_completions,
-)
+from .oracles import AdversaryLinkOracle, CongestionOracle, PurePayoffOracle
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -170,24 +164,23 @@ def _cmd_solve_bimatrix(args) -> int:
 def _cmd_solve_parallel_links(args) -> int:
     extra = {}
     if args.adversary:
+        # A game given beside --players is still checked, never ignored.
         players = args.players
-        if players is None and args.gen:
-            _, params = _parse_gen_spec(args.gen)
-            players = params.get("n")
-        if not players:
+        if args.game or args.gen:
+            game = _links_game(args)
+            players = game.players if players is None else players
+        elif players is None:
             raise InvalidSpec("--adversary needs --players or a --gen spec with n=")
         oracle = AdversaryLinkOracle(players, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
-        completions = list(consistent_completions(oracle.state))
+        completions = list(oracle.completions)
         extra["consistent_step_locations"] = completions
         # One consistent step location c leaves one equilibrium, (c, n - c).
         verified = len(completions) == 1 and _links_verified(
             oracle.committed_game(), result.loads.loads
         )
     else:
-        game = _load_or_gen(args)
-        if not (isinstance(game, CongestionGame) and game.network.is_parallel_links):
-            raise InvalidSpec("solve parallel-links needs a parallel-links game")
+        game = _links_game(args)
         oracle = CongestionOracle(game, max_queries=args.budget)
         result = parallel_links.solve_parallel_links(oracle, args.kf)
         verified = _links_verified(game, result.loads.loads)
@@ -207,6 +200,13 @@ def _cmd_solve_parallel_links(args) -> int:
         ]
     _emit(args, payload)
     return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
+
+
+def _links_game(args) -> CongestionGame:
+    game = _load_or_gen(args)
+    if not (isinstance(game, CongestionGame) and game.network.is_parallel_links):
+        raise InvalidSpec("solve parallel-links needs a parallel-links game")
+    return game
 
 
 def _links_verified(game: CongestionGame, loads) -> bool:
@@ -369,7 +369,7 @@ def _cmd_bench(args) -> int:
             t0 = time.monotonic()
             result = dag.solve_dag_game(oracle)
             edges = len(result.contraction.reduced.edges)
-            total = len(enumerate_paths(result.contraction.reduced)) ** n
+            total = verify.path_count(game) ** n
             rows.append(
                 {
                     "edges": edges,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .errors import BudgetExhausted, InvalidProfile, LoadOutOfRange
+from .errors import BudgetExhausted, InvalidProfile, InvalidSpec, LoadOutOfRange
 from .games import (
     BimatrixGame,
     CongestionGame,
@@ -141,61 +141,6 @@ class CongestionOracle(_Budgeted):
         return response
 
 
-@dataclass
-class AdversaryState:
-    """Marks of the adaptive two-link lower-bound adversary.
-
-    The step link's cost function is pinned to 0 at loads <= lower and to 2
-    at loads >= upper; every location in between is still a consistent step.
-    """
-
-    n: int
-    lower: int = 0
-    upper: int = -1  # filled in __post_init__
-
-    def __post_init__(self) -> None:
-        if self.upper == -1:
-            self.upper = self.n
-        if not 0 <= self.lower < self.upper <= self.n:
-            raise InvalidProfile(
-                f"adversary marks must satisfy 0 <= l < u <= n, got "
-                f"l={self.lower}, u={self.upper}, n={self.n}"
-            )
-
-    @property
-    def gap(self) -> int:
-        return self.upper - self.lower
-
-
-def adversary_query(state: AdversaryState, x: int) -> tuple[Fraction, Fraction]:
-    """Answer a two-link query with x players on the step link.
-
-    Implements the four-case adaptive strategy: answers below the lower mark
-    are 0, answers above the upper mark are 2, and queries inside the open
-    interval move whichever mark is nearer (comparison against the exact
-    rational midpoint).  The constant link always costs 1.
-    """
-    one = Fraction(1)
-    if x <= state.lower:
-        return Fraction(0), one
-    if x >= state.upper:
-        return Fraction(2), one
-    if Fraction(x) < Fraction(state.lower + state.upper, 2):
-        state.lower = x
-        return Fraction(0), one
-    state.upper = x
-    return Fraction(2), one
-
-
-def consistent_completions(state: AdversaryState) -> range:
-    """All step locations consistent with the transcript: lower..upper-1.
-
-    A step at location i means the step link costs 0 at loads <= i and 2
-    above; the querier cannot name the equilibrium until this is a singleton.
-    """
-    return range(state.lower, state.upper)
-
-
 def step_link_game(n: int, step_at: int) -> CongestionGame:
     """The committed two-link game: step link (id 0) plus constant link (id 1).
 
@@ -207,36 +152,55 @@ def step_link_game(n: int, step_at: int) -> CongestionGame:
 
 
 class AdversaryLinkOracle(_Budgeted):
-    """Congestion-oracle interface backed by the adaptive adversary.
+    """Congestion-oracle interface backed by the adaptive two-link adversary.
 
-    Link 0 is the hidden step link, link 1 the constant link.  The oracle
-    answers any parallel-links load assignment, snapshots the consistent-set
-    size after every accepted query, and can commit to a concrete game once
-    (or before) the gap closes.
+    Link 0 is the hidden step link, link 1 the constant link.  The step link
+    is pinned to cost 0 at loads <= lower and 2 at loads >= upper; a query in
+    between moves whichever mark is nearer, so each answer at most halves the
+    consistent step locations.  The oracle records their number after every
+    accepted query and commits to a concrete game once one is left.
     """
 
     def __init__(self, n: int, max_queries: int | None = None) -> None:
+        if type(n) is not int or n < 1:
+            raise InvalidSpec(f"the adversary needs n >= 1 players, got n={n!r}")
         super().__init__(max_queries)
         self.players = n
         self.network = Network((0, 1), {0: (0, 1), 1: (0, 1)}, 0, 1)
-        self.state = AdversaryState(n)
+        self.lower, self.upper = 0, n
         self.completion_history: list[int] = []
 
+    @property
+    def completions(self) -> range:
+        """Every step location consistent with the transcript so far.
+
+        A step at location i costs 0 at loads <= i and 2 above; the querier
+        cannot name the equilibrium until one location is left.
+        """
+        return range(self.lower, self.upper)
+
     def query_loads(self, assignment: Mapping[Path, int]) -> dict[Path, Fraction]:
+        """Costs of the assigned links with x players on link 0; ledger +1.
+
+        A refused query (bad counts or paths, or no budget left) moves no mark.
+        """
         assignment = self._checked_loads(assignment)
         for path in assignment:
             self.network.validate_path(path)
         x = assignment.get((0,), 0)
-        c_step, c_const = adversary_query(self.state, x)
-        response = {}
-        if (0,) in assignment:
-            response[(0,)] = c_step
-        if (1,) in assignment:
-            response[(1,)] = c_const
+        lower, upper = self.lower, self.upper
+        if lower < x < upper:
+            if 2 * x < lower + upper:
+                lower = x
+            else:
+                upper = x
+        costs = {(0,): Fraction(0 if x <= lower else 2), (1,): Fraction(1)}
+        response = {path: c for path, c in costs.items() if path in assignment}
         self._charge_loads(assignment, response)
-        self.completion_history.append(len(consistent_completions(self.state)))
+        self.lower, self.upper = lower, upper
+        self.completion_history.append(upper - lower)
         return response
 
     def committed_game(self) -> CongestionGame:
-        """The unique consistent game; only meaningful once the gap is 1."""
-        return step_link_game(self.players, self.state.lower)
+        """The unique consistent game; only meaningful once one location is left."""
+        return step_link_game(self.players, self.lower)

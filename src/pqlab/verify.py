@@ -188,19 +188,31 @@ def graphical_improvement(game: GraphicalGame, profile: Sequence[int]) -> Fracti
     )
 
 
-def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
-    """Every anonymous profile (multiset of n paths); guarded by the cap."""
-    paths = enumerate_paths(game)
-    n = game.players
+def path_count(game: CongestionGame) -> int:
+    """Number of origin-destination paths, by one pass in topological order."""
+    net = game.network
+    ways = Counter({net.origin: 1})
+    for v in net.topological_order():
+        for e in net.out_edges[v]:
+            ways[net.edges[e][1]] += ways[v]
+    return ways[net.destination]
+
+
+def _check_cap(count: int, what: str, cap: int | None = None) -> None:
     limit = cap if cap is not None else _cap()
-    count = math.comb(len(paths) + n - 1, n)
     if count > limit:
-        raise TooLarge(
-            f"{count} anonymous profiles ({len(paths)} paths, {n} players) "
-            f"exceed the cap of {limit}"
-        )
+        raise TooLarge(f"{count} {what} exceed the cap of {limit}")
+
+
+def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
+    """Every anonymous profile (multiset of n paths); guarded by the cap,
+    which is checked before any path is listed."""
+    n, paths = game.players, path_count(game)
+    count = math.comb(paths + n - 1, n)
+    _check_cap(count, f"anonymous profiles ({paths} paths, {n} players)", cap)
     return [
-        dict(Counter(combo)) for combo in itertools.combinations_with_replacement(paths, n)
+        dict(Counter(combo))
+        for combo in itertools.combinations_with_replacement(enumerate_paths(game), n)
     ]
 
 
@@ -243,16 +255,18 @@ def check_equivalence(
 ) -> tuple[bool, dict | None]:
     """Do two cost functions price every player of every profile identically?
 
-    Exhaustive mode enumerates all anonymous profiles (guarded by the cap,
-    the default or PQLAB_CAP); sampled mode draws 200 random profiles of
-    game.players players from a generator seeded with 0.  Returns
-    (equivalent, counterexample) where the counterexample names the profile
-    and the disagreeing path.
+    Exhaustive mode enumerates all anonymous profiles; sampled mode lists
+    every path and draws 200 random profiles of game.players players from a
+    generator seeded with 0.  The cap (the default or PQLAB_CAP) bounds the
+    profiles or the paths, and is checked before any path is listed.
+    Returns (equivalent, counterexample) where the counterexample names the
+    profile and the disagreeing path.
     """
-    paths = enumerate_paths(game)
     if mode == "exhaustive":
         profiles = all_profiles(game)
     elif mode == "sampled":
+        _check_cap(path_count(game), "paths")
+        paths = enumerate_paths(game)
         rng = random.Random(_SAMPLE_SEED)
         profiles = [
             dict(Counter(rng.choices(paths, k=game.players))) for _ in range(_SAMPLES)

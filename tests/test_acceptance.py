@@ -35,7 +35,6 @@ from pqlab.instances import (
     gen_random_step_links,
     rows_winning_in_column,
 )
-from pqlab.oracles import consistent_completions
 from pqlab.parallel_links import solve_parallel_links
 from pqlab.verify import (
     brute_force_pure_ne,
@@ -234,7 +233,7 @@ def test_criterion_08_adversary_lower_bound():
             n = 2**exp
             oracle = AdversaryLinkOracle(n)
             result = solve_parallel_links(oracle)
-            completions = list(consistent_completions(oracle.state))
+            completions = list(oracle.completions)
             assert len(completions) == 1
             location = completions[0]
             assert result.loads.loads == (location, n - location)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,16 @@ class TestUsageErrors:
         (["learn", "graphical", "--degree", "1", "--gen", "pennies"],
          "needs a graphical game"),
         (["learn", "dag", "--gen", "pennies"], "needs a congestion game"),
+        (["solve", "parallel-links", "--adversary", "--gen", "nonsense:n=8,sead=1"],
+         "unknown generator family 'nonsense'"),
+        (["solve", "parallel-links", "--adversary", "--gen", "step:n=8,sead=1"],
+         "step has no parameter 'sead'"),
+        (["solve", "parallel-links", "--adversary", "--gen", "random-dag:n=2,seed=0"],
+         "needs a parallel-links game"),
+        (["solve", "parallel-links", "--adversary", "--players", "0"], "n=0"),
+        (["solve", "parallel-links", "--adversary", "--players", "-3"], "n=-3"),
+        (["solve", "parallel-links", "--adversary", "--players", "8",
+          "--gen", "nonsense:x=1"], "unknown generator family 'nonsense'"),
     ],
 )
 def test_wrong_input_for_the_command_is_invalid_spec(argv, message):
@@ -284,6 +295,74 @@ class TestSolveAndLearnDag:
         edges = len(payload["cost_tables"])
         assert payload["queries_used"] == edges * 2
 
+    def test_learn_dag_that_learns_a_wrong_value_is_not_verified(
+        self, tmp_path, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        from pqlab import dag_learner
+
+        learn = dag_learner.learn_costs
+
+        def shifting(oracle):
+            tables = learn(oracle).as_tables()
+            e = min(tables)
+            tables[e] = (*tables[e][:-1], tables[e][-1] + 1)
+            return SimpleNamespace(as_tables=lambda: tables)
+
+        monkeypatch.setattr(dag_learner, "learn_costs", shifting)
+        code, payload = run(
+            tmp_path, "learn", "dag", "--gen", "random-dag:v=5,e=7,n=2,seed=9"
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert payload["verified"] is False
+        counterexample = payload["counterexample"]
+        assert set(counterexample) == {"path", "got", "want"}
+        assert isinstance(counterexample["path"], list)
+        assert isinstance(counterexample["got"], str)
+        assert isinstance(counterexample["want"], str)
+        got, want = Fraction(counterexample["got"]), Fraction(counterexample["want"])
+        assert got == want + 1
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_learn_dag_too_large_to_check_exits_4(self, capsys, mode):
+        argv = ["learn", "dag", "--gen", "random-dag:v=120,e=400,n=2,seed=0",
+                "--verify-mode", mode]
+        assert main(argv) == EXIT_INVALID
+        assert "exceed the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["learn", "solve"])
+    @pytest.mark.parametrize(
+        "spec, queries",
+        [
+            ("random-dag:v=7,e=12,n=2,seed=144", 18),
+            ("random-dag:v=10,e=20,n=2,seed=191", 40),
+            ("random-dag:v=12,e=24,n=2,seed=142", 48),
+            ("random-dag:v=12,e=24,n=2,seed=253", 42),
+        ],
+    )
+    def test_path_planner_splices_across_both_connectors(
+        self, tmp_path, monkeypatch, command, spec, queries
+    ):
+        from pqlab import dag_learner
+
+        reroute = dag_learner._reroute_along
+        splices = []
+
+        def spy(p1, q, qq):
+            p1_out, connector = reroute(p1, q, qq)
+            if set(p1) & set(q) and set(p1) & set(qq):
+                splices.append((p1_out, connector))
+            return p1_out, connector
+
+        monkeypatch.setattr(dag_learner, "_reroute_along", spy)
+        code, payload = run(tmp_path, command, "dag", "--gen", spec)
+        assert code == EXIT_OK
+        assert payload["verified"] is True
+        assert payload["queries_used"] == queries
+        assert splices
+        assert all(not set(p1) & set(connector) for p1, connector in splices)
+
     def test_learn_dag_contracts_once(self, tmp_path, monkeypatch):
         from pqlab import dag_learner
 
@@ -371,6 +450,33 @@ class TestVerifyCommand:
             game_file.write_text(json.dumps(game))
         profile_file.write_text(json.dumps(profile))
         return main(["verify", "--game", str(game_file), "--profile", str(profile_file)])
+
+    @pytest.mark.parametrize(
+        "strategies, code, improvement",
+        [
+            ([1, 0, 1, 1], EXIT_OK, "0"),
+            ([0, 0, 0, 0], EXIT_VERIFY_FAILED, "3/8"),
+            ([0, 0, 0], EXIT_INVALID, None),
+            ([0, 0, 0, 2], EXIT_INVALID, None),
+        ],
+        ids=["equilibrium", "improvable", "short", "strategy-out-of-range"],
+    )
+    def test_graphical_pure_profile(self, tmp_path, capsys, strategies, code, improvement):
+        profile = {"type": "profile", "kind": "pure", "strategies": strategies}
+        spec = "random-graphical:n=4,k=2,d=1,seed=1"
+        assert self._verify(tmp_path, spec, profile) == code
+        out, err = capsys.readouterr()
+        if improvement is None:
+            assert "malformed for this game" in err
+        else:
+            payload = json.loads(out)
+            assert payload == {"improvement": improvement, "is_equilibrium": code == EXIT_OK}
+
+    def test_graphical_game_with_a_mixed_profile_is_invalid_input(self, tmp_path, capsys):
+        mixed = {"type": "profile", "kind": "mixed", "row": ["1", "0"], "col": ["0", "1"]}
+        spec = "random-graphical:n=4,k=2,d=1,seed=1"
+        assert self._verify(tmp_path, spec, mixed) == EXIT_INVALID
+        assert "a graphical game needs a pure profile" in capsys.readouterr().err
 
     def test_game_file_that_is_a_list_is_invalid_input(self, tmp_path, capsys):
         pure = {"type": "profile", "kind": "pure", "strategies": [0, 0]}
@@ -722,3 +828,17 @@ class TestSeedFlag:
         )
         assert code == EXIT_OK
         assert payload["queries_used"] >= 10
+
+    def test_adversary_takes_n_from_game_file(self, tmp_path):
+        game_file = tmp_path / "game.json"
+        assert main(["gen", "step:m=3,n=40,seed=1", "--out", str(game_file)]) == EXIT_OK
+        code, payload = run(
+            tmp_path, "solve", "parallel-links", "--adversary", "--game", str(game_file)
+        )
+        assert code == EXIT_OK
+        assert sum(payload["loads"]) == 40
+
+    def test_adversary_with_an_invalid_spec_exits_4(self, capsys):
+        argv = ["solve", "parallel-links", "--adversary", "--gen", "nonsense:n=8,sead=1"]
+        assert main(argv) == EXIT_INVALID
+        assert '"verified"' not in capsys.readouterr().out

@@ -13,6 +13,7 @@ from pqlab import (
     CongestionOracle,
     GraphicalGame,
     InvalidProfile,
+    InvalidSpec,
     LoadOutOfRange,
     PurePayoffOracle,
     parallel_links_game,
@@ -24,12 +25,7 @@ from pqlab.instances import (
     gen_random_graphical,
     gen_random_step_links,
 )
-from pqlab.oracles import (
-    AdversaryState,
-    adversary_query,
-    consistent_completions,
-    step_link_game,
-)
+from pqlab.oracles import step_link_game
 
 F = Fraction
 
@@ -219,28 +215,39 @@ class TestInformationHiding:
         assert not hasattr(oracle, "cost")
 
 
+def ask(oracle, x):
+    """Step-link cost of one two-link query with x of n players on link 0."""
+    return oracle.query_loads({(0,): x, (1,): oracle.players - x})[(0,)]
+
+
 class TestAdversary:
     def test_trace_from_fresh_state(self):
-        state = AdversaryState(8)
-        assert adversary_query(state, 4) == (2, 1)
-        assert (state.lower, state.upper) == (0, 4)
-        assert adversary_query(state, 2) == (2, 1)
-        assert (state.lower, state.upper) == (0, 2)
+        oracle = AdversaryLinkOracle(8)
+        assert oracle.query_loads({(0,): 4, (1,): 4}) == {(0,): 2, (1,): 1}
+        assert (oracle.lower, oracle.upper) == (0, 4)
+        assert ask(oracle, 2) == 2
+        assert (oracle.lower, oracle.upper) == (0, 2)
 
     def test_boundary_query_leaves_state(self):
-        state = AdversaryState(8)
-        assert adversary_query(state, 0) == (0, 1)
-        assert (state.lower, state.upper) == (0, 8)
+        oracle = AdversaryLinkOracle(8)
+        assert ask(oracle, 0) == 0
+        assert ask(oracle, 8) == 2
+        assert (oracle.lower, oracle.upper) == (0, 8)
+        assert oracle.completion_history == [8, 8]
 
     def test_completions_fresh_and_closed(self):
-        state = AdversaryState(8)
-        assert list(consistent_completions(state)) == list(range(8))
-        state.lower, state.upper = 3, 4
-        assert list(consistent_completions(state)) == [3]
+        oracle = AdversaryLinkOracle(8)
+        assert list(oracle.completions) == list(range(8))
+        for x in (4, 1, 2, 3):
+            ask(oracle, x)
+        assert list(oracle.completions) == [2]
+        assert oracle.completion_history == [4, 3, 2, 1]
 
     def test_mid_game_completions_have_distinct_equilibria(self):
-        state = AdversaryState(8, lower=2, upper=4)
-        locations = list(consistent_completions(state))
+        oracle = AdversaryLinkOracle(8)
+        for x in (4, 1, 2):
+            ask(oracle, x)
+        locations = list(oracle.completions)
         assert locations == [2, 3]
         # Each location commits to a different unique equilibrium split.
         splits = set()
@@ -262,7 +269,7 @@ class TestAdversary:
             ({tuple(p): c for p, c in q["loads"]}, r)
             for q, r in oracle.ledger.log
         ]
-        for location in consistent_completions(oracle.state):
+        for location in oracle.completions:
             game = step_link_game(n, location)
             for query, response in transcript:
                 truth = strategy_costs(game, query)
@@ -271,12 +278,13 @@ class TestAdversary:
                     assert truth[path] == F(value)
 
     def test_gap_halves_at_most(self):
-        state = AdversaryState(1024)
-        gap = state.gap
+        oracle = AdversaryLinkOracle(1024)
+        gap = len(oracle.completions)
         for x in (512, 300, 400, 370, 380, 375):
-            adversary_query(state, x)
-            assert state.gap * 2 >= gap - 1
-            gap = state.gap
+            ask(oracle, x)
+            assert len(oracle.completions) * 2 >= gap - 1
+            gap = len(oracle.completions)
+        assert oracle.completion_history[-1] == gap
 
     def test_adversary_oracle_counts_and_history(self):
         oracle = AdversaryLinkOracle(16)
@@ -307,17 +315,33 @@ def test_adversary_rejects_a_non_int_count_before_answering():
     oracle = AdversaryLinkOracle(16)
     with pytest.raises(LoadOutOfRange):
         oracle.query_loads({(0,): 8.0})
-    assert (oracle.state.lower, oracle.state.upper) == (0, 16)
+    assert (oracle.lower, oracle.upper) == (0, 16)
     assert oracle.completion_history == []
+
+
+def test_adversary_query_refused_for_budget_moves_no_mark():
+    oracle = AdversaryLinkOracle(100, max_queries=1)
+    ask(oracle, 50)
+    with pytest.raises(BudgetExhausted):
+        ask(oracle, 30)
+    assert (oracle.lower, oracle.upper) == (0, 50)
+    assert oracle.completion_history == [50]
+    assert oracle.ledger.count == 1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_adversary_needs_a_player(n):
+    with pytest.raises(InvalidSpec, match=f"n={n}"):
+        AdversaryLinkOracle(n)
 
 
 @given(st.integers(2, 2**16), st.lists(st.integers(0, 2**16), max_size=30))
 def test_gap_lower_bound_property(n, xs):
-    state = AdversaryState(n)
-    queries = 0
+    oracle = AdversaryLinkOracle(n)
     for x in xs:
-        before = state.gap
-        adversary_query(state, min(x, n))
-        queries += 1
-        assert state.gap >= (before + 1) // 2 or state.gap == before
-    assert state.gap * 2**queries >= n
+        before = len(oracle.completions)
+        ask(oracle, min(x, n))
+        gap = len(oracle.completions)
+        assert gap >= (before + 1) // 2 or gap == before
+    assert len(oracle.completion_history) == len(xs)
+    assert len(oracle.completions) * 2 ** len(xs) >= n

@@ -23,7 +23,7 @@ from pqlab import (
 from pqlab.cli import EXIT_OK, main
 from pqlab.games import link_tables
 from pqlab.instances import gen_random_dag, gen_random_step_links
-from pqlab.oracles import consistent_completions, step_link_game
+from pqlab.oracles import step_link_game
 from pqlab.parallel_links import LinkLoads, default_group_factor, refine_profile
 from pqlab.verify import is_delta_equilibrium
 
@@ -222,7 +222,7 @@ class TestAgainstAdversary:
         result = solve_parallel_links(oracle)
         # Termination is only sound once a single completion remains, and
         # closing the gap takes at least floor(log2 n) queries.
-        completions = list(consistent_completions(oracle.state))
+        completions = list(oracle.completions)
         assert len(completions) == 1
         location = completions[0]
         assert result.loads.loads == (location, n - location)
@@ -262,7 +262,7 @@ class TestLargeN:
         result = solve_parallel_links(oracle)
         assert result.queries_used >= exp
         assert all(size >= 2 for size in oracle.completion_history[: exp - 1])
-        (location,) = consistent_completions(oracle.state)
+        (location,) = oracle.completions
         assert result.loads.loads == (location, n - location)
         game = oracle.committed_game()
         assert is_delta_equilibrium(

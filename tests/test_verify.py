@@ -38,6 +38,7 @@ from pqlab.verify import (
     exact_ne_2x2,
     greedy_parallel_ne,
     is_delta_equilibrium,
+    path_count,
 )
 from tests.test_games import bimatrix, diamond
 
@@ -171,6 +172,39 @@ class TestCheckEquivalence:
         ok, counterexample = check_equivalence(mutated, game.cost, game, mode="sampled")
         assert not ok
         assert counterexample["profile"] == {(0,): 2}
+
+
+# 2,575,285,748 o-d paths: listing them runs out of memory, so the cap
+# must be checked on a count.
+HUGE_DAG = "random-dag:v=120,e=400,n=2,seed=0"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_path_count_matches_enumeration(seed):
+    rng = random.Random(seed)
+    vertices = rng.randint(3, 9)
+    game = gen_random_dag(vertices, rng.randint(vertices, 3 * vertices - 3), 2, seed)
+    assert path_count(game) == len(enumerate_paths(game))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_cap_is_checked_before_any_path_is_listed(mode):
+    from pqlab.cli import make_game
+
+    game = make_game(HUGE_DAG)
+    assert path_count(game) == 2_575_285_748
+    with pytest.raises(TooLarge, match="2575285748 paths"):
+        check_equivalence(game.cost, game.cost, game, mode=mode)
+
+
+def test_sampled_mode_cap_counts_paths(monkeypatch):
+    game = gen_random_dag(6, 9, 3, seed=5)
+    paths = len(enumerate_paths(game))
+    monkeypatch.setenv("PQLAB_CAP", str(paths))
+    assert check_equivalence(game.cost, game.cost, game, mode="sampled")[0]
+    monkeypatch.setenv("PQLAB_CAP", str(paths - 1))
+    with pytest.raises(TooLarge, match=f"{paths} paths exceed the cap of {paths - 1}"):
+        check_equivalence(game.cost, game.cost, game, mode="sampled")
 
 
 class TestExactNe2x2:
