@@ -271,15 +271,13 @@ def _cmd_learn_dag(args) -> int:
     oracle = CongestionOracle(game, max_queries=args.budget)
     reduced_game, cmap = dag.preprocess_contract(game)
     view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    learned = dag.learn_costs(view)
+    tables = dag.learn_costs(view).as_tables()
     equivalent, counterexample = verify.check_equivalence(
-        learned.as_tables(), reduced_game.cost, reduced_game,
-        mode=args.verify_mode,
+        tables, reduced_game.cost, reduced_game, mode=args.verify_mode
     )
     payload = {
         "cost_tables": {
-            str(e): [str(v) for v in table]
-            for e, table in sorted(learned.as_tables().items())
+            str(e): [str(v) for v in table] for e, table in sorted(tables.items())
         },
         "contracted_edges": {str(e): list(ids) for e, ids in cmap.absorbed.items()},
         "queries_used": oracle.ledger.count,

@@ -8,7 +8,8 @@ identically.  It spends exactly |E| queries per player level, n*|E| total.
 Pipeline: contract every dependent edge pair in one rebuild (zero queries),
 learn all load-1 values in topological order, then lift level by level with
 bridge and two-path queries whose loads make every unknown appear exactly
-once; their paths are planned once per network and replayed at every level.
+once; their paths and checks are planned once per network, so a bad path kit
+fails before any level query, and every level replays plain queries.
 One pass per network finds the edges on every path to and from each vertex,
 which gives both the dependent pairs and the bridges.  A pure equilibrium is
 found by potential descent and maps back through contraction.
@@ -54,9 +55,6 @@ class PartialCostFunction:
 
     def is_defined(self, edge: int, load: int) -> bool:
         return load in self._values[edge]
-
-    def get(self, edge: int, load: int) -> Fraction | None:
-        return self._values[edge].get(load)
 
     def value(self, edge: int, load: int) -> Fraction:
         try:
@@ -309,6 +307,8 @@ def preprocess_contract(game: CongestionGame) -> tuple[CongestionGame, Contracti
     the cost of every strategy in every profile.
     """
     reduced_net, cmap = contract_network(game.network)
+    if not cmap.steps:
+        return game, cmap
     cost = {e: list(game.cost[e]) for e in game.network.edges}
     for step in cmap.steps:
         cost[step.absorber] = [
@@ -355,27 +355,29 @@ def _disjoint_or_fail(net: Network, frm: int, to: int) -> tuple[Path, Path]:
     return pair
 
 
-def choose_p4_p5(net: Network, bridges: Sequence[int], j: int) -> tuple[Path, Path]:
-    """Two head(b_j)->destination paths meeting exactly in the later bridges.
+def two_paths_meeting_at(
+    net: Network, frm: int, meet: Sequence[int]
+) -> tuple[Path, Path]:
+    """Two frm->destination paths whose shared edges are exactly ``meet``.
 
-    Between consecutive bridges (and after the last) no bridge exists, so
-    each gap admits an edge-disjoint pair; concatenating the pairs through
-    the bridges gives the required intersection.
+    ``meet`` lists edges lying on every frm-destination path, in order.
+    Between consecutive ones (and after the last) none is left, so each gap
+    admits an edge-disjoint pair; concatenating the pairs through the meet
+    edges gives the required intersection.
     """
-    frm = net.edges[bridges[j]][1]
-    p4: list[int] = []
-    p5: list[int] = []
-    for b in bridges[j + 1 :]:
+    pa: list[int] = []
+    pb: list[int] = []
+    for b in meet:
         seg_a, seg_b = _disjoint_or_fail(net, frm, net.edges[b][0])
-        p4 += [*seg_a, b]
-        p5 += [*seg_b, b]
+        pa += [*seg_a, b]
+        pb += [*seg_b, b]
         frm = net.edges[b][1]
     tail_a, tail_b = _disjoint_or_fail(net, frm, net.destination)
-    p4 += tail_a
-    p5 += tail_b
-    if set(p4) & set(p5) != set(bridges[j + 1 :]):
-        raise PathSelectionFailed("p4/p5 intersection is not the later bridges")
-    return tuple(p4), tuple(p5)
+    pa += tail_a
+    pb += tail_b
+    if set(pa) & set(pb) != set(meet):
+        raise PathSelectionFailed(f"two-path kit does not meet exactly at {list(meet)}")
+    return tuple(pa), tuple(pb)
 
 
 def _reroute_along(p1: Path, q: Path, qq: Path) -> tuple[Path, Path]:
@@ -453,65 +455,17 @@ def choose_p1_p3(
 # The learner proper.
 
 
-def _query_and_extract(
-    oracle,
-    f: PartialCostFunction,
-    target: int,
-    target_load: int,
-    one_path: Path,
-    many_path: Path,
-    many_load: int,
-    pattern: Sequence[tuple[int, bool]] = (),
-) -> None:
-    """Issue one query and peel the target edge's cost out of the response.
-
-    ``one_path`` carries a single player and contains the target edge; every
-    other edge on it must already be priced at the load it ends up carrying.
-    ``pattern`` pairs edges with whether they must carry ``target_load``
-    (the later bridges of a bridge query) or else one player.  The oracle
-    validates the paths; an edge of ``one_path`` carries ``1 + many_load``
-    players if ``many_path`` shares it, and one player otherwise.
-    """
-    assignment: dict[Path, int] = {one_path: 1}
-    if many_load:
-        if many_path == one_path:
-            assignment = {one_path: 1 + many_load}
-        else:
-            assignment[many_path] = many_load
-    shared = set(many_path)
-    loads = {e: 1 + many_load if e in shared else 1 for e in one_path}
-    if loads[target] != target_load:
-        raise AlgorithmInvariantViolated(
-            f"edge {target} carries {loads[target]}, expected {target_load}"
-        )
-    for e, later in pattern:
-        if loads[e] != (target_load if later else 1):
-            raise AlgorithmInvariantViolated(
-                f"bridge query load pattern broken at edge {e}"
-            )
-    known: list[Fraction] = []
-    for e in one_path:
-        if e == target:
-            continue
-        value = f.get(e, loads[e])
-        if value is None:
-            raise PathSelectionFailed(
-                f"edge {e} at load {loads[e]} is still unknown; bad path kit"
-            )
-        known.append(value)
-    response = oracle.query_loads(assignment)
-    f.define(target, target_load, response[one_path] - exact_sum(known))
-
-
 def learn_one_player(oracle) -> PartialCostFunction:
     """Partial equivalent cost function with every load-1 value defined.
 
-    The oracle's vertices are processed in topological order.  At an
-    interior vertex the cheapest in-edge (through a fixed continuation path)
-    is declared free and the others are priced relative to it; the slack
-    this hides is pushed onto the vertex's out-edges, which keeps all route
-    costs intact.  At the destination the absolute values are pinned down.
-    One query per edge of the oracle's network.
+    The oracle's vertices are processed in topological order.  Each in-edge
+    of a vertex is scored by one query through a fixed stem and continuation,
+    less its already learned stem.  At an interior vertex the cheapest
+    in-edge is declared free and the others are priced relative to it; the
+    slack this hides is pushed onto the vertex's out-edges, which keeps all
+    route costs intact.  At the destination the continuation is empty and
+    the scores are the absolute values.  One query per edge of the oracle's
+    network.
     """
     net = oracle.network
     f = PartialCostFunction(net.edges, oracle.players)
@@ -520,30 +474,18 @@ def learn_one_player(oracle) -> PartialCostFunction:
         in_edges = net.in_edges[kv]
         if not in_edges:
             continue
-        if kv == net.destination:
-            for e in in_edges:
-                stem = net.least_path(net.origin, net.edges[e][0])
-                _query_and_extract(oracle, f, e, 1, stem + (e,), (), 0)
-            continue
         continuation = net.least_path(kv, net.destination)
         if continuation is None:  # pragma: no cover - every vertex reaches d
             raise PathSelectionFailed(f"vertex {kv} cannot reach the destination")
         scores: dict[int, Fraction] = {}
         for e in in_edges:
             stem = net.least_path(net.origin, net.edges[e][0])
+            known = exact_sum([f.value(e2, 1) for e2 in stem])
             path = stem + (e,) + continuation
-            for e2 in stem:
-                if not f.is_defined(e2, 1):
-                    raise AlgorithmInvariantViolated(
-                        f"stem edge {e2} unprocessed before vertex {kv}"
-                    )
-            cost = oracle.query_loads({path: 1})[path]
-            scores[e] = cost - exact_sum([f.value(e2, 1) for e2 in stem])
-        pivot = min(in_edges, key=lambda e: (scores[e], e))
-        f.define(pivot, 1, _ZERO)
+            scores[e] = oracle.query_loads({path: 1})[path] - known
+        base = min(scores.values()) if continuation else _ZERO
         for e in in_edges:
-            if e != pivot:
-                f.define(e, 1, scores[e] - scores[pivot])
+            f.define(e, 1, scores[e] - base)
     used = oracle.ledger.count - before
     if used != len(net.edges):
         raise AlgorithmInvariantViolated(
@@ -554,7 +496,12 @@ def learn_one_player(oracle) -> PartialCostFunction:
 
 def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFunction:
     """Extend f from loads <= level to level + 1 in |E| queries on the
-    oracle's network, replaying that network's one query plan."""
+    oracle's network, replaying that network's one checked query plan.
+
+    Each query puts one player on the one path and ``level`` players on the
+    many path; the target's cost is the one path's response less the
+    shared edges at the new load and the other edges at load 1.
+    """
     net = oracle.network
     if not 1 <= level < oracle.players:
         raise InvalidSpec(f"level must be in 1..n-1, got {level}")
@@ -563,10 +510,15 @@ def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFuncti
         raise AlgorithmInvariantViolated(f"load {new_load} is already partly learned")
     before = oracle.ledger.count
     plan = _remembered(net, "_level_plan", _plan_level)
-    for target, one_path, many_path, pattern in plan:
-        _query_and_extract(
-            oracle, f, target, new_load, one_path, many_path, level, pattern
-        )
+    for target, one_path, many_path, shared, single in plan:
+        if one_path == many_path:
+            assignment = {one_path: 1 + level}
+        else:
+            assignment = {one_path: 1, many_path: level}
+        known = [f.value(e, new_load) for e in shared]
+        known += [f.value(e, 1) for e in single]
+        response = oracle.query_loads(assignment)
+        f.define(target, new_load, response[one_path] - exact_sum(known))
     used = oracle.ledger.count - before
     if used != len(net.edges):
         raise AlgorithmInvariantViolated(
@@ -576,14 +528,40 @@ def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFuncti
 
 
 def _plan_level(net: Network) -> tuple[tuple, ...]:
-    """The |E| queries every level asks: (target, one path, many path, pattern).
+    """The |E| queries every level asks, checked once when the plan is built.
 
-    For each vertex kv along the topology, the kv-bridges are targeted first
-    (in reverse bridge order, so each query's later bridges are known), then
-    the remaining in-edges of kv; each edge is targeted once.
+    An entry is (target, one path, many path, shared, single): the target
+    and the ``shared`` edges lie on both paths and carry the new load, the
+    ``single`` edges carry one player.  For each vertex kv along the
+    topology, the kv-bridges are targeted first (in reverse bridge order, so
+    each query's later bridges are known), then the remaining in-edges of
+    kv; each edge is targeted once.  A query's one path ends in a kit path
+    that meets the many path exactly at the kit's ``meet`` edges, and every
+    shared edge was targeted by an earlier entry.
     """
     plan: list[tuple] = []
     planned: set[int] = set()
+
+    def add(
+        target: int, head: Path, kit: Path, many_path: Path, meet: Sequence[int]
+    ) -> None:
+        many = set(many_path)
+        if target not in many:
+            raise AlgorithmInvariantViolated(f"edge {target} is not on the many path")
+        if many.intersection(kit) != set(meet):
+            raise AlgorithmInvariantViolated(
+                f"query load pattern broken for edge {target}"
+            )
+        one_path = head + kit
+        shared = tuple(e for e in one_path if e in many and e != target)
+        if not planned.issuperset(shared):
+            raise PathSelectionFailed(
+                f"query for edge {target} reads an unlearned edge; bad path kit"
+            )
+        single = tuple(e for e in one_path if e not in many)
+        planned.add(target)
+        plan.append((target, one_path, many_path, shared, single))
+
     for kv in net.topological_order():
         bridges = find_bridges(net, kv)
         p2 = net.least_path(net.origin, kv)
@@ -591,51 +569,24 @@ def _plan_level(net: Network) -> tuple[tuple, ...]:
             raise PathSelectionFailed(f"vertex {kv} unreachable from the origin")
         for j in range(len(bridges) - 1, -1, -1):
             b = bridges[j]
-            if b in planned:
-                continue
-            planned.add(b)
-            p4, p5 = choose_p4_p5(net, bridges, j)
-            p1, p3 = choose_p1_p3(net, kv, bridges, j, p2)
-            later = set(bridges[j + 1 :])
-            pattern = tuple((e, e in later) for e in p4)
-            plan.append((b, p1 + (b,) + p4, p2 + p3 + (b,) + p5, pattern))
-        in_kit: tuple[Path, Path] | None = None
-        for e in net.in_edges[kv]:
-            if e in planned:
-                continue
-            planned.add(e)
-            if in_kit is None:
-                in_kit = _two_paths_through_bridges(net, kv, bridges)
-            pa, pb = in_kit
+            if b not in planned:
+                # From b's tail, so both kit paths start with b itself.
+                p4, p5 = two_paths_meeting_at(net, net.edges[b][0], bridges[j:])
+                p1, p3 = choose_p1_p3(net, kv, bridges, j, p2)
+                add(b, p1, p4, p2 + p3 + p5, bridges[j:])
+        in_edges = [e for e in net.in_edges[kv] if e not in planned]
+        if in_edges:
+            pa, pb = two_paths_meeting_at(net, kv, bridges)
+        for e in in_edges:
             stem = net.least_path(net.origin, net.edges[e][0])
             if stem is None:  # pragma: no cover
                 raise PathSelectionFailed(f"no origin path to edge {e}")
-            if e in pa or e in stem or set(stem) & set(pa):
-                raise AlgorithmInvariantViolated(
-                    "in-edge query paths overlap unexpectedly"
-                )
-            plan.append((e, stem + (e,) + pa, stem + (e,) + pb, ()))
+            add(e, stem + (e,), pa, stem + (e,) + pb, bridges)
     if len(plan) != len(net.edges):
         raise AlgorithmInvariantViolated(
             f"level plan has {len(plan)} queries, expected {len(net.edges)}"
         )
     return tuple(plan)
-
-
-def _two_paths_through_bridges(
-    net: Network, kv: int, bridges: Sequence[int]
-) -> tuple[Path, Path]:
-    """Two kv->destination paths whose shared edges are exactly the kv-bridges."""
-    if not bridges:
-        return _disjoint_or_fail(net, kv, net.destination)
-    first_tail = net.edges[bridges[0]][0]
-    r1, r2 = _disjoint_or_fail(net, kv, first_tail)
-    p4, p5 = choose_p4_p5(net, bridges, 0)
-    pa = r1 + (bridges[0],) + p4
-    pb = r2 + (bridges[0],) + p5
-    if set(pa) & set(pb) != set(bridges):
-        raise PathSelectionFailed("two-path kit does not meet exactly at bridges")
-    return pa, pb
 
 
 def learn_costs(oracle) -> PartialCostFunction:

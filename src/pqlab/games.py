@@ -342,8 +342,8 @@ class Network:
         at = self.origin
         seen_vertices = {at}
         for e in path:
-            if e not in self.edges:
-                raise InvalidProfile(f"unknown edge id {e}")
+            if type(e) is not int or e not in self.edges:
+                raise InvalidProfile(f"unknown edge id {e!r}")
             t, h = self.edges[e]
             if t != at:
                 raise InvalidProfile(f"edge {e} does not continue the path at {at}")

@@ -59,17 +59,19 @@ class _Budgeted:
             raise BudgetExhausted(f"query budget of {self._max_queries} exhausted")
         self.ledger.record(query, response)
 
-    def _checked_loads(self, assignment: Mapping[Path, int]) -> dict[Path, int]:
-        """The assignment with tuple paths; each count must be an int in 0..n."""
-        checked: dict[Path, int] = {}
+    def _check_loads(self, assignment: Mapping[Path, int]) -> None:
+        """Refuse any assignment but a mapping of tuple paths to int counts
+        in 0..n; the network check reads each edge id as an int."""
+        if not isinstance(assignment, Mapping):
+            got = type(assignment).__name__
+            raise InvalidProfile(f"a load query maps paths to counts, got {got}")
         for path, count in assignment.items():
-            path = tuple(path)
+            if type(path) is not tuple:
+                raise InvalidProfile(f"path {path!r} is not a tuple of edge ids")
             if type(count) is not int or not 0 <= count <= self.players:
                 raise LoadOutOfRange(
                     f"load {count!r} on {path} is not an integer in 0..{self.players}"
                 )
-            checked[path] = count
-        return checked
 
     def _charge_loads(
         self, assignment: Mapping[Path, int], response: Mapping[Path, Fraction]
@@ -102,12 +104,20 @@ class PurePayoffOracle(_Budgeted):
             self.strategy_counts = (game.strategies,) * game.players
 
     def query_pure(self, profile: Sequence[int]) -> tuple[Fraction, ...]:
-        """All players' payoffs at the pure profile; ledger count +1."""
-        profile = tuple(profile)
-        if len(profile) != self.players:
+        """All players' payoffs at the pure profile; ledger count +1.
+
+        The profile is a tuple or list of one int per player; a bool, a
+        float or any other spelling is refused uncharged.
+        """
+        if (
+            not isinstance(profile, (tuple, list))
+            or len(profile) != self.players
+            or not {int}.issuperset(map(type, profile))
+        ):
             raise InvalidProfile(
-                f"profile has {len(profile)} entries, expected {self.players}"
+                f"profile {profile!r} is not {self.players} integer strategies"
             )
+        profile = tuple(profile)
         if isinstance(self._game, BimatrixGame):
             response = bimatrix_payoffs(self._game, (profile[0], profile[1]))
         else:
@@ -135,7 +145,7 @@ class CongestionOracle(_Budgeted):
         Loads on distinct strategies apply simultaneously, so a single query
         prices every assigned path at once.
         """
-        assignment = self._checked_loads(assignment)
+        self._check_loads(assignment)
         response = strategy_costs(self._game, assignment)
         self._charge_loads(assignment, response)
         return response
@@ -184,7 +194,7 @@ class AdversaryLinkOracle(_Budgeted):
 
         A refused query (bad counts or paths, or no budget left) moves no mark.
         """
-        assignment = self._checked_loads(assignment)
+        self._check_loads(assignment)
         for path in assignment:
             self.network.validate_path(path)
         x = assignment.get((0,), 0)

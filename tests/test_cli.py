@@ -1,15 +1,27 @@
 """Command-line behaviour: exit codes, artifacts, determinism."""
 
+import copy
 import dataclasses
+import functools
+import itertools
 import json
+import operator
 import os
 import re
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqlab import InvalidSpec, parallel_links, serialize
+from pqlab import (
+    GraphicalGame,
+    InvalidSpec,
+    MixedProfile,
+    PqlabError,
+    parallel_links,
+    serialize,
+)
 from pqlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -19,6 +31,7 @@ from pqlab.cli import (
     main,
     make_game,
 )
+from pqlab.instances import gen_matching_pennies, gen_random_dag, gen_random_step_links
 from pqlab.parallel_links import LinkLoads
 from pqlab.verify import deviation_report
 
@@ -115,6 +128,129 @@ def test_any_spec_builds_a_game_or_is_invalid_spec(spec):
     # Any other exception escapes main as a traceback and fails the test.
     assert main(["gen", spec, "--out", os.devnull]) == want
 
+
+
+def _graphical_game():
+    """Player 0 reads players 1 and 2, player 1 reads player 0."""
+    nbrs = ((1, 2), (0,), ())
+    tables = tuple(
+        {
+            (own, ctx): Fraction(own + sum(ctx), 4)
+            for own in range(2)
+            for ctx in itertools.product(range(2), repeat=len(ns))
+        }
+        for ns in nbrs
+    )
+    return GraphicalGame(3, 2, nbrs, tables)
+
+
+# A valid (game, profile) document pair of each kind `pqlab verify` reads.
+_pennies = serialize.game_to_dict(gen_matching_pennies(2))
+DOCUMENTS = {
+    "bimatrix": (_pennies, serialize.profile_to_dict((0, 1))),
+    "mixed": (_pennies, serialize.profile_to_dict(MixedProfile.uniform(2, 2))),
+    "graphical": (
+        serialize.game_to_dict(_graphical_game()),
+        serialize.profile_to_dict((0, 1, 0)),
+    ),
+    "dag": (
+        serialize.game_to_dict(gen_random_dag(4, 5, 2, seed=0)),
+        serialize.profile_to_dict({(0, 1): 1, (3,): 1}),
+    ),
+    "step": (
+        serialize.game_to_dict(gen_random_step_links(2, 3, seed=0)),
+        serialize.profile_to_dict({(0,): 1, (1,): 2}),
+    ),
+}
+DELETE = object()
+LEAF_VALUES = (None, -1, 10**30, 1.5, True, "x", [], {}, 0, 2**63 - 1, "1/0", DELETE)
+
+
+def _nodes(doc, at=()):
+    """The path of every value inside a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield at + (key,)
+        yield from _nodes(child, at + (key,))
+
+
+# (kind, 0 for the game or 1 for the profile, node path, new value or DELETE)
+MUTANTS = [
+    (kind, side, where, value)
+    for kind, docs in DOCUMENTS.items()
+    for side in (0, 1)
+    for where in _nodes(docs[side])
+    for value in LEAF_VALUES
+]
+
+
+def _mutant_documents(mutant):
+    kind, side, where, value = mutant
+    docs = copy.deepcopy(list(DOCUMENTS[kind]))
+    *path, last = where
+    parent = functools.reduce(operator.getitem, path, docs[side])
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return docs
+
+
+# A mutant reaching each BimatrixGame and GraphicalGame constructor guard.
+GUARDS = [
+    (("bimatrix", 0, ("row_payoff",), []), "payoff tables must be non-empty"),
+    (("bimatrix", 0, ("row_payoff", 1, 1), DELETE), "row payoff table is ragged"),
+    (("bimatrix", 0, ("col_payoff", 0, 0), DELETE), "must have identical dimensions"),
+    (("graphical", 0, ("strategies",), 0), "needs n >= 1 players, k >= 1"),
+    (("graphical", 0, ("players",), 10**30), "per-player fields must have length n"),
+    (("graphical", 0, ("payoff_tables", 0, "neighbors", 1), 0), "sorted and unique"),
+    (("graphical", 0, ("payoff_tables", 0, "neighbors", 0), -1), "out of range"),
+    (("graphical", 0, ("payoff_tables", 0, "entries", 0), DELETE), "expected 8"),
+    (("graphical", 0, ("payoff_tables", 0, "entries", 0, 0), -1), "(-1, (0, 0))"),
+    (("graphical", 0, ("payoff_tables", 0, "entries", 0, 1), []), "(0, ()) malformed"),
+    (("graphical", 0, ("payoff_tables", 0, "entries", 0, 1, 0), -1), "(0, (-1, 0))"),
+    (("graphical", 0, ("payoff_tables", 0, "entries", 0, 2), 10**30), "in [0, 1]"),
+]
+
+
+def _verify_exit(mutant):
+    """`pqlab verify`'s exit on the mutant's documents; any error but a
+    PqlabError escapes the library and fails the calling test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        game, profile = (os.path.join(tmp, f"{name}.json") for name in "gp")
+        for name, doc in zip((game, profile), _mutant_documents(mutant)):
+            with open(name, "w") as fp:
+                json.dump(doc, fp)
+        argv = ["verify", "--game", game, "--profile", profile, "--out", os.devnull]
+        args = build_parser().parse_args(argv)
+        try:
+            code = args.func(args)
+        except PqlabError:
+            code = EXIT_INVALID
+        else:
+            assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+        assert main(argv) == code
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutant=st.sampled_from(MUTANTS))
+def test_mutated_document_verifies_or_is_invalid(mutant):
+    _verify_exit(mutant)
+
+
+@pytest.mark.parametrize("mutant, message", GUARDS)
+def test_mutants_reach_the_game_constructor_guards(mutant, message):
+    assert mutant in MUTANTS
+    game_doc, _ = _mutant_documents(mutant)
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        serialize.game_from_dict(game_doc)
+    assert _verify_exit(mutant) == EXIT_INVALID
 
 class TestUsageErrors:
     """argparse's own exit code 2 would read as "verification failed"."""
@@ -378,6 +514,13 @@ class TestSolveAndLearnDag:
         assert payload["contracted_edges"]
         assert len(calls) == 1
 
+
+    def test_learn_dag_at_n_2_pow_40_stops_at_its_budget(self, capsys):
+        # Nothing contracts, so no step table is listed entry by entry.
+        argv = ["learn", "dag", "--gen", "step:m=2,n=1099511627776,seed=0",
+                "--budget", "3"]
+        assert main(argv) == EXIT_BUDGET
+        assert "query budget of 3 exhausted" in capsys.readouterr().err
 
 class TestLearnGraphical:
     def test_learned_game_matches(self, tmp_path):

@@ -15,6 +15,7 @@ from pqlab import (
     InvalidProfile,
     InvalidSpec,
     Network,
+    PathSelectionFailed,
     PotentialNotDecreasing,
 )
 from pqlab import dag_learner
@@ -22,7 +23,6 @@ from pqlab.dag_learner import (
     ContractedOracle,
     contract_network,
     choose_p1_p3,
-    choose_p4_p5,
     find_bridges,
     find_dependent_pair,
     learn_costs,
@@ -32,9 +32,10 @@ from pqlab.dag_learner import (
     solve_dag_game,
     solve_learned_game,
     two_edge_disjoint_paths,
+    two_paths_meeting_at,
 )
 from pqlab.games import edge_loads, enumerate_paths
-from pqlab.instances import gen_random_dag
+from pqlab.instances import gen_random_dag, gen_random_step_links
 from pqlab.verify import brute_force_pure_ne, check_equivalence, deviation_report
 from tests.test_games import diamond
 
@@ -67,6 +68,12 @@ class TestDependenceAndContraction:
         assert find_dependent_pair(game.network) is None
         reduced, cmap = preprocess_contract(game)
         assert reduced.network == game.network
+        assert not cmap.steps
+
+    def test_nothing_to_contract_keeps_the_game_and_its_tables(self):
+        game = gen_random_step_links(2, 2**40, seed=0)
+        reduced, cmap = preprocess_contract(game)
+        assert reduced is game
         assert not cmap.steps
 
     def test_diamond_with_mandatory_tail_edge(self):
@@ -218,7 +225,7 @@ class TestDisjointPaths:
         )
         bridges2 = find_bridges(net2, 0)
         assert bridges2 == [0, 3]
-        p4, p5 = choose_p4_p5(net2, bridges2, 0)
+        p4, p5 = two_paths_meeting_at(net2, net2.edges[bridges2[0]][1], bridges2[1:])
         assert set(p4) & set(p5) == {3}
 
     def test_p1_p3_disjoint_on_random_dags(self):
@@ -579,10 +586,41 @@ class TestLevelPlanAndDescent:
             plan = dag_learner._plan_level(net)
             assert len(plan) == len(net.edges)
             assert sorted(target for target, *_ in plan) == sorted(net.edges)
-            for target, one_path, many_path, _ in plan:
+            for target, one_path, many_path, *_ in plan:
                 assert target in one_path
                 net.validate_path(one_path)
                 net.validate_path(many_path)
+
+    @pytest.mark.parametrize(
+        "helper, corrupt, error, message",
+        [
+            ("two_paths_meeting_at", lambda pa, pb: (pa, pb[1:]),
+             AlgorithmInvariantViolated, "not on the many path"),
+            ("two_paths_meeting_at", lambda pa, pb: (pa, pa),
+             AlgorithmInvariantViolated, "load pattern broken"),
+            ("choose_p1_p3", lambda p1, p3: (p1, p1),
+             PathSelectionFailed, "bad path kit"),
+        ],
+        ids=["target-off-many-path", "bridge-pattern", "shared-edge-unlearned"],
+    )
+    def test_bad_kit_fails_before_any_level_query(
+        self, monkeypatch, helper, corrupt, error, message
+    ):
+        # Two links into vertex 1, the bridge 2, then two links on.  The
+        # plan's first entry is the bridge query, whose kit is corrupted.
+        real = getattr(dag_learner, helper)
+        monkeypatch.setattr(dag_learner, helper, lambda *args: corrupt(*real(*args)))
+        net = Network(
+            (0, 1, 2, 3),
+            {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (2, 3)},
+            0,
+            3,
+        )
+        game = CongestionGame(net, 3, {e: [e, e + 1, e + 2, e + 3] for e in net.edges})
+        oracle = CongestionOracle(game)
+        with pytest.raises(error, match=message):
+            learn_costs(oracle)
+        assert oracle.ledger.count == len(net.edges)
 
     def test_plan_builds_bridges_once_per_vertex(self, monkeypatch):
         calls = []

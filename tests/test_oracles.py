@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pqlab import (
     AdversaryLinkOracle,
@@ -345,3 +345,87 @@ def test_gap_lower_bound_property(n, xs):
         assert gap >= (before + 1) // 2 or gap == before
     assert len(oracle.completion_history) == len(xs)
     assert len(oracle.completions) * 2 ** len(xs) >= n
+
+
+ORACLES = {
+    "bimatrix": lambda: PurePayoffOracle(gen_matching_pennies(2)),
+    "graphical": lambda: PurePayoffOracle(gen_random_graphical(3, 2, 1, seed=9)),
+    "congestion": lambda: CongestionOracle(gen_random_dag(4, 5, 2, seed=0)),
+    "adversary": lambda: AdversaryLinkOracle(3),
+}
+
+# One slot of a query: a small int, another spelling of one, or no int.
+SLOT = st.one_of(
+    st.integers(-1, 3),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 1.5, F(1), "0", "a", None]),
+)
+PATH = st.one_of(
+    st.lists(SLOT, max_size=3).map(tuple), SLOT, st.frozensets(st.integers(0, 2))
+)
+LOAD_QUERIES = st.one_of(
+    st.dictionaries(PATH, SLOT, max_size=3), st.lists(st.tuples(PATH, SLOT)), SLOT
+)
+PURE_QUERIES = st.one_of(
+    st.lists(SLOT, max_size=4),
+    st.lists(SLOT, max_size=4).map(tuple),
+    st.dictionaries(st.integers(0, 2), SLOT),
+    SLOT,
+)
+
+
+def _scalars(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _scalars(item)
+    else:
+        yield obj
+
+
+def _marks(oracle):
+    return getattr(oracle, "lower", None), getattr(oracle, "upper", None)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_query_is_answered_in_plain_ints_or_refused_uncharged(kind, data):
+    oracle = ORACLES[kind]()
+    pure = isinstance(oracle, PurePayoffOracle)
+    query = data.draw(PURE_QUERIES if pure else LOAD_QUERIES)
+    marks = _marks(oracle)
+    try:
+        (oracle.query_pure if pure else oracle.query_loads)(query)
+    except (InvalidProfile, LoadOutOfRange):
+        assert oracle.ledger.count == 0
+        assert _marks(oracle) == marks
+        return
+    # An accepted query has one spelling: every id, strategy and count an int.
+    ((recorded, _),) = oracle.ledger.log
+    assert all(type(x) is int for x in _scalars(recorded))
+
+
+@pytest.mark.parametrize(
+    "kind, query, error",
+    [
+        ("congestion", {(0.0, 1.0): 1}, InvalidProfile),
+        ("adversary", {(True,): 1}, InvalidProfile),
+        ("congestion", {5: 1}, InvalidProfile),
+        ("congestion", [((0,), 1)], InvalidProfile),
+        ("adversary", {(0.0,): 1}, InvalidProfile),
+        ("adversary", {(0,): True}, LoadOutOfRange),
+        ("bimatrix", (True, 0), InvalidProfile),
+        ("bimatrix", (0.5, 0), InvalidProfile),
+        ("bimatrix", ("a", 0), InvalidProfile),
+        ("bimatrix", 7, InvalidProfile),
+        ("graphical", (1.0, 0, 0), InvalidProfile),
+    ],
+)
+def test_second_spellings_and_junk_are_refused_uncharged(kind, query, error):
+    oracle = ORACLES[kind]()
+    pure = isinstance(oracle, PurePayoffOracle)
+    with pytest.raises(error):
+        (oracle.query_pure if pure else oracle.query_loads)(query)
+    assert oracle.ledger.count == 0
