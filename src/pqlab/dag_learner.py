@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AlgorithmInvariantViolated,
+    InvalidProfile,
     InvalidSpec,
     PathSelectionFailed,
     PotentialNotDecreasing,
@@ -331,11 +332,23 @@ class ContractedOracle:
         self.ledger = inner.ledger
 
     def query_loads(self, assignment: Mapping[Path, int]) -> dict[Path, Fraction]:
-        forward = {p: self._map.map_path_back(tuple(p)) for p in assignment}
+        """Price reduced paths by their original paths: one inner query.
+
+        A key that is not a tuple is refused before anything is charged;
+        the inner oracle checks the counts.
+        """
+        if not isinstance(assignment, Mapping):
+            got = type(assignment).__name__
+            raise InvalidProfile(f"a load query maps paths to counts, got {got}")
+        forward = {}
+        for p in assignment:
+            if type(p) is not tuple:
+                raise InvalidProfile(f"path {p!r} is not a tuple of edge ids")
+            forward[p] = self._map.map_path_back(p)
         response = self._inner.query_loads(
             {forward[p]: c for p, c in assignment.items()}
         )
-        return {tuple(p): response[forward[p]] for p in assignment}
+        return {p: response[forward[p]] for p in assignment}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ which can only lower the query count.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -37,14 +37,6 @@ def default_group_factor(links: int) -> int:
     if links < 1:
         raise InvalidSpec("need at least one link")
     return max(2, (links - 1).bit_length())
-
-
-def _group_factor(group_factor: int | None, links: int) -> int:
-    """The given group factor, or the default for this many links; at least 2."""
-    kf = group_factor if group_factor is not None else default_group_factor(links)
-    if kf < 2:
-        raise InvalidSpec("group factor must be at least 2")
-    return kf
 
 
 @dataclass(frozen=True)
@@ -81,13 +73,23 @@ class ParallelLinksResult:
     traces: list[RefineTrace]
 
 
+Cost = int | Fraction
+
+
 class _ProbeCache:
-    """Solver-side cache of (link, load) -> cost with monotonicity auditing."""
+    """Solver-side cache of (link, load) -> cost with monotonicity auditing.
+
+    An integral cost is kept as a plain int and any other as the oracle's
+    Fraction.  Python orders an int against a Fraction exactly, so every
+    comparison the solver makes (slot sorts, thresholds, the audit) means
+    what it meant over Fractions, and two integral costs compare at native
+    speed.
+    """
 
     def __init__(self, oracle, links: Sequence[Path]) -> None:
         self._oracle = oracle
         self._links = list(links)
-        self._known: list[dict[int, Fraction]] = [{} for _ in links]
+        self._known: list[dict[int, Cost]] = [{} for _ in links]
         self._sorted_loads: list[list[int]] = [[] for _ in links]
 
     def probe_round(self, wanted: Mapping[int, int]) -> None:
@@ -100,23 +102,24 @@ class _ProbeCache:
         assignment = {self._links[i]: load for i, load in missing.items()}
         response = self._oracle.query_loads(assignment)
         for i, load in missing.items():
-            self._store(i, load, response[self._links[i]])
+            cost = response[self._links[i]]
+            self._store(i, load, cost.numerator if cost.denominator == 1 else cost)
 
-    def _store(self, link: int, load: int, cost: Fraction) -> None:
-        loads = self._sorted_loads[link]
+    def _store(self, link: int, load: int, cost: Cost) -> None:
+        known, loads = self._known[link], self._sorted_loads[link]
         pos = bisect.bisect_left(loads, load)
-        if pos > 0 and self._known[link][loads[pos - 1]] > cost:
+        if pos > 0 and known[loads[pos - 1]] > cost:
             raise AlgorithmInvariantViolated(
                 f"link {link}: cost at load {load} below cost at {loads[pos - 1]}"
             )
-        if pos < len(loads) and self._known[link][loads[pos]] < cost:
+        if pos < len(loads) and known[loads[pos]] < cost:
             raise AlgorithmInvariantViolated(
                 f"link {link}: cost at load {load} above cost at {loads[pos]}"
             )
         loads.insert(pos, load)
-        self._known[link][load] = cost
+        known[load] = cost
 
-    def value(self, link: int, load: int) -> Fraction:
+    def value(self, link: int, load: int) -> Cost:
         return self._known[link][load]
 
 
@@ -128,7 +131,20 @@ class _PhaseContext:
     loads: tuple[int, ...]
     special: int
     # Feasible addition slots (cost, link, r), sorted; r-th extra group on a link.
-    additions: list[tuple[Fraction, int, int]]
+    additions: list[tuple[Cost, int, int]] = field(default_factory=list)
+    # Per link, the most top groups one refinement can remove, and the load
+    # left once they are gone.
+    caps: list[int] = field(init=False)
+    floors: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        window, delta = self.window, self.delta
+        self.caps = [min(window, x // delta) for x in self.loads]
+        self.floors = {
+            i: x - cap * delta
+            for i, (x, cap) in enumerate(zip(self.loads, self.caps))
+            if cap
+        }
 
     @property
     def links(self) -> int:
@@ -142,9 +158,6 @@ class _PhaseContext:
         special link contribute up to kf-1 extra moves.
         """
         return max(self.kf * self.links, (self.kf - 1) * (self.links + 1))
-
-    def removal_cap(self, link: int) -> int:
-        return min(self.window, self.loads[link] // self.delta)
 
 
 def _collect_additions(cache: _ProbeCache, ctx: _PhaseContext) -> None:
@@ -167,32 +180,24 @@ def _collect_additions(cache: _ProbeCache, ctx: _PhaseContext) -> None:
     ctx.additions.sort(key=itemgetter(0))
 
 
-def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Fraction) -> list[int]:
+def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Cost) -> list[int]:
     """Per link, how many top groups currently pay strictly more than theta.
 
     Equals min{q : f_i(n_i - q*delta) <= theta} over q in [0, cap_i], or
     cap_i when even draining every countable group leaves the cost above
-    theta (the guard case, which needs one batched probe round).
+    theta (the guard case: one batched probe round of the phase's floors,
+    which can query only on the phase's first call).
     """
-    caps = [ctx.removal_cap(i) for i in range(ctx.links)]
-    cache.probe_round(
-        {
-            i: ctx.loads[i] - caps[i] * ctx.delta
-            for i in range(ctx.links)
-            if caps[i] > 0
-        }
-    )
-    hi = caps
-    lo = [
-        cap if cap and cache.value(i, ctx.loads[i] - cap * ctx.delta) > theta else 0
-        for i, cap in enumerate(caps)
-    ]
+    cache.probe_round(ctx.floors)
+    hi = ctx.caps.copy()  # the searches below narrow hi in place
+    lo = [0] * ctx.links
+    for i, floor in ctx.floors.items():
+        if cache.value(i, floor) > theta:
+            lo[i] = hi[i]
     # Batched binary searches: one probe round per iteration covers every
     # link still looking for the first drained-load whose cost is <= theta.
-    while True:
-        active = [i for i in range(ctx.links) if lo[i] < hi[i]]
-        if not active:
-            break
+    active = [i for i in ctx.floors if lo[i] < hi[i]]
+    while active:
         mids = {i: (lo[i] + hi[i]) // 2 for i in active}
         cache.probe_round(
             {i: ctx.loads[i] - mids[i] * ctx.delta for i in active}
@@ -202,6 +207,7 @@ def _removal_counts(cache: _ProbeCache, ctx: _PhaseContext, theta: Fraction) -> 
                 hi[i] = mids[i]
             else:
                 lo[i] = mids[i] + 1
+        active = [i for i in active if lo[i] < hi[i]]
     return lo
 
 
@@ -304,22 +310,6 @@ def _commit(
     )
 
 
-def refine_profile(
-    oracle,
-    loads: LinkLoads,
-    delta: int,
-    group_factor: int | None = None,
-) -> LinkLoads:
-    """One refinement pass: turn a (kf*delta)-equilibrium into a delta-one."""
-    links = _link_paths(oracle)
-    kf = _group_factor(group_factor, len(links))
-    if delta < 1:
-        raise InvalidSpec("group size delta must be at least 1")
-    cache = _ProbeCache(oracle, links)
-    new_loads, _ = _refine_phase(cache, loads, delta, kf, oracle.players)
-    return LinkLoads(new_loads, loads.special)
-
-
 def _refine_phase(
     cache: _ProbeCache,
     loads: LinkLoads,
@@ -332,14 +322,7 @@ def _refine_phase(
     Invariant: moving lo groups is known feasible, and the answer lies in
     [lo, hi].
     """
-    ctx = _PhaseContext(
-        delta=delta,
-        kf=kf,
-        players=players,
-        loads=loads.loads,
-        special=loads.special,
-        additions=[],
-    )
+    ctx = _PhaseContext(delta, kf, players, loads.loads, loads.special)
     _collect_additions(cache, ctx)
     lo, hi = 0, min(ctx.window, len(ctx.additions))
     while lo < hi:
@@ -370,7 +353,9 @@ def solve_parallel_links(oracle, group_factor: int | None = None) -> ParallelLin
     links = _link_paths(oracle)
     m = len(links)
     n = oracle.players
-    kf = _group_factor(group_factor, m)
+    kf = group_factor if group_factor is not None else default_group_factor(m)
+    if kf < 2:
+        raise InvalidSpec("group factor must be at least 2")
     cache = _ProbeCache(oracle, links)
     before = oracle.ledger.count
 

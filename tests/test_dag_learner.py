@@ -785,6 +785,20 @@ class TestOneValidationPerQuery:
         view.query_loads({good: 1})
         assert oracle.ledger.count == 1
 
+    def test_contracted_view_refuses_untyped_queries_uncharged(self):
+        game = gen_random_dag(6, 9, 2, 0, subdivide=2)
+        oracle = CongestionOracle(game)
+        reduced, cmap = preprocess_contract(game)
+        assert cmap.steps
+        good = enumerate_paths(reduced)[0]
+        view = ContractedOracle(oracle, cmap)
+        for junk in ({5: 1}, {good: 1, 5: 1}, {frozenset(good): 1}, [(good, 1)]):
+            with pytest.raises(InvalidProfile):
+                view.query_loads(junk)
+        assert oracle.ledger.count == 0
+        assert list(view.query_loads({good: 1})) == [good]
+        assert oracle.ledger.count == 1
+
 
 # Per gen_random_dag(7, 12, 3, seed, subdivide) as (seed, subdivide): the
 # first 16 hex digits of the sha256 of the reduced network's repr((vertices,

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pqlab.games
 import pqlab.parallel_links
@@ -21,10 +22,10 @@ from pqlab import (
     solve_parallel_links,
 )
 from pqlab.cli import EXIT_OK, main
-from pqlab.games import link_tables
+from pqlab.games import StepTable, link_tables
 from pqlab.instances import gen_random_dag, gen_random_step_links
 from pqlab.oracles import step_link_game
-from pqlab.parallel_links import LinkLoads, default_group_factor, refine_profile
+from pqlab.parallel_links import LinkLoads, RefineTrace, default_group_factor
 from pqlab.verify import is_delta_equilibrium
 
 F = Fraction
@@ -111,6 +112,15 @@ class TestPhasePlan:
             solve_parallel_links(oracle, 1)
         assert oracle.ledger.count == 0
 
+    @pytest.mark.parametrize("group_factor", [1, 0, -3])
+    def test_bad_group_factor_rejected_before_any_query(self, group_factor):
+        # A group factor below 2 cannot shrink the group size.
+        game = parallel_links_game([[1, 1, 1, 1, 1], [0, 0, 0, 2, 2]], 4)
+        oracle = CongestionOracle(game)
+        with pytest.raises(InvalidSpec):
+            solve_parallel_links(oracle, group_factor)
+        assert oracle.ledger.count == 0
+
     def test_dag_rejected_without_enumerating_its_paths(self, monkeypatch):
         # This network has 98,318 o-d paths; telling that it is not parallel
         # links reads each edge once.
@@ -128,35 +138,6 @@ class TestPhasePlan:
         assert default_group_factor(1) == 2
         assert default_group_factor(8) == 3
         assert default_group_factor(16) == 4
-
-
-class TestRefineProfile:
-    def test_no_moves_when_already_settled(self):
-        game = parallel_links_game([[1] * 5, [1] * 5], 4)
-        oracle = CongestionOracle(game)
-        out = refine_profile(oracle, LinkLoads((2, 2), 0), 1, group_factor=2)
-        assert out.loads == (2, 2)
-
-    def test_moves_one_group_off_the_flat_link(self):
-        # All four players sit on the constant link; one group of two must
-        # move to the cheap half of the stepped link.
-        game = parallel_links_game([[1, 1, 1, 1, 1], [0, 0, 0, 2, 2]], 4)
-        oracle = CongestionOracle(game)
-        out = refine_profile(oracle, LinkLoads((4, 0), 0), 2, group_factor=2)
-        assert out.loads == (2, 2)
-        assert is_delta_equilibrium(link_tables(game), out.loads, 2, 0)
-
-    @pytest.mark.parametrize(
-        "delta, group_factor", [(1, 0), (1, -3), (1, 1), (0, 2), (-1, 2)]
-    )
-    def test_bad_group_sizes_rejected_before_any_query(self, delta, group_factor):
-        # A group factor below 2 cannot shrink the group size, and a group
-        # size below 1 moves nobody.
-        game = parallel_links_game([[1, 1, 1, 1, 1], [0, 0, 0, 2, 2]], 4)
-        oracle = CongestionOracle(game)
-        with pytest.raises(InvalidSpec):
-            refine_profile(oracle, LinkLoads((4, 0), 0), delta, group_factor)
-        assert oracle.ledger.count == 0
 
 
 def solve_and_check(game, kf=None):
@@ -183,6 +164,24 @@ class TestSolveParallelLinks:
         result = solve_parallel_links(oracle)
         assert result.loads.loads == (3,)
         assert result.queries_used == 1
+
+    def test_no_moves_when_already_settled(self):
+        # Both links cost 1 at every load, so the start on link 0 is settled.
+        result = solve_and_check(parallel_links_game([[1] * 5, [1] * 5], 4), 2)
+        assert result.loads == LinkLoads((4, 0), 0)
+        assert result.traces == [
+            RefineTrace(delta, 0, (0, 0), (0, 0)) for delta in (4, 2, 1)
+        ]
+
+    def test_moves_one_group_off_the_flat_link(self):
+        # All four players start on the constant link; the delta=2 phase moves
+        # one group of two to the cheap half of the stepped link.
+        game = parallel_links_game([[1, 1, 1, 1, 1], [0, 0, 0, 2, 2]], 4)
+        result = solve_and_check(game, 2)
+        assert result.loads == LinkLoads((2, 2), 0)
+        assert result.checkpoints == [(4, (4, 0)), (2, (2, 2)), (1, (2, 2))]
+        assert result.traces[1] == RefineTrace(2, 1, (1, 0), (0, 1))
+        assert [t.moved_groups for t in result.traces] == [0, 1, 0]
 
     def test_two_link_step_game_exact_split(self):
         result = solve_and_check(step_link_game(16, 5))
@@ -212,6 +211,31 @@ class TestSolveParallelLinks:
         small = solve_and_check(gen_random_step_links(8, 2**10, 3))
         large = solve_and_check(gen_random_step_links(8, 2**20, 3))
         assert large.queries_used <= 2.5 * small.queries_used
+
+
+@st.composite
+def rational_step_games(draw):
+    """Step games on 2-6 links and 1-200 players; every step adds a
+    nonnegative rational with denominator 1..12 to the link's cost."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 200))
+    tables = []
+    for _ in range(m):
+        starts = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+        value, steps = F(0), []
+        for start in [0, *sorted(starts)]:
+            value += F(draw(st.integers(0, 40)), draw(st.integers(1, 12)))
+            steps.append((start, value))
+        tables.append(StepTable(steps, n))
+    return parallel_links_game(tables, n)
+
+
+# 200 examples take 0.75-0.9 s (three runs on a shared 2-vCPU VM).
+@settings(max_examples=200, deadline=None)
+@given(game=rational_step_games())
+def test_rational_step_games_solve_within_bound(game):
+    # solve_and_check verifies delta = 1, every checkpoint's delta and the
+    # query bound against verify.is_delta_equilibrium.
+    solve_and_check(game)
 
 
 class TestAgainstAdversary:
@@ -271,20 +295,22 @@ class TestLargeN:
 
 
 class _NonMonotoneOracle:
-    """Breaks the nondecreasing-cost promise to exercise the guard."""
+    """Breaks the nondecreasing-cost promise to exercise the guard.
 
-    def __init__(self):
+    Link 0 costs link0[load] (decreasing by default: an invalid game) and
+    link 1 costs 1 at every load.
+    """
+
+    def __init__(self, link0=tuple(F(10 - load) for load in range(5))):
         self.players = 4
         self.network = Network((0, 1), {0: (0, 1), 1: (0, 1)}, 0, 1)
         self.ledger = QueryLedger()
+        self.link0 = link0
 
     def query_loads(self, assignment):
         out = {}
         for path, load in assignment.items():
-            if path == (0,):
-                out[path] = F(10 - load)  # decreasing: invalid game
-            else:
-                out[path] = F(1)
+            out[path] = self.link0[load] if path == (0,) else F(1)
         self.ledger.record("q", "r")
         return out
 
@@ -292,6 +318,16 @@ class _NonMonotoneOracle:
 def test_non_monotone_hidden_costs_detected():
     with pytest.raises(AlgorithmInvariantViolated):
         solve_parallel_links(_NonMonotoneOracle())
+
+
+@pytest.mark.parametrize("lower, higher", [(F(3), F(5, 2)), (F(7, 2), F(3))])
+def test_non_monotone_mixed_integral_and_fractional_costs_detected(lower, higher):
+    # With kf=3 the solver learns link 0 at loads 4 and 3 first, then at 1
+    # and 2 in that order; the cache keeps 3 as an int, so the audit compares
+    # an int with a Fraction.
+    oracle = _NonMonotoneOracle((F(10), lower, higher, F(10), F(10)))
+    with pytest.raises(AlgorithmInvariantViolated, match="load 2 below cost at 1"):
+        solve_parallel_links(oracle, 3)
 
 
 def test_single_player_takes_cheapest_link():
@@ -385,6 +421,77 @@ ADVERSARY_PINNED = {
 }
 
 
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def rational_step_links(kind, m, n, seed):
+    """Seeded step game on m links whose costs are rationals.
+
+    With kind "mixed" every step draws its denominator from 1, 2, 3, 4, 6
+    and 12, so integral and non-integral costs mix on one link; with kind
+    "primes" every step of link i has the i-th prime as its denominator.
+    """
+    rng = random.Random(f"{kind}:{m}:{n}:{seed}")
+    primes = _primes(m)
+    tables = []
+    for i in range(m):
+        starts = [0, *sorted(rng.sample(range(1, n + 1), rng.randint(0, 3)))]
+        value = F(0)
+        steps = []
+        for start in starts:
+            den = rng.choice((1, 2, 3, 4, 6, 12)) if kind == "mixed" else primes[i]
+            value += F(rng.randint(0, 5 * den), den)
+            steps.append((start, value))
+        tables.append(StepTable(steps, n))
+    return parallel_links_game(tables, n)
+
+
+# The same two digests over the eight solves of rational_step_links(kind, m,
+# n, seed) for seeds 0-3, each with group factor None and then 3.  Recorded
+# while the probe cache still held every cost as a Fraction.
+RATIONAL_PINNED = {
+    ("mixed", 8, 100): (
+        "82886ee4c83b18edde020ac5c751c8ff835337c2dabbfa603b72b0326510087e",
+        "77e03fafe5274a206d99ea24c42550d3de69872df341c8c6e7445072d55c4ca7",
+    ),
+    ("mixed", 8, 4097): (
+        "192f5dbc7af6e1399298bb27d2d3b31488cf0b45594f8cef87ad55e257cf2ea6",
+        "57fe3057b1956a1c0b64a220b668ddf9a0ee165cdc02d20d6b73c89b8716eb8a",
+    ),
+    ("mixed", 64, 100): (
+        "f6492b9707059236caab9e1c811a91b763c04e70c14374d98f648b2a181898ad",
+        "9eb103b48caad1298791483afefc811f129b4ab777fcef991a0e8816a0df15b8",
+    ),
+    ("mixed", 64, 4097): (
+        "d6266b46a8cc0d805598ee0b5126e657a476cbc3f7465e0e4e5fafc3a83a6e83",
+        "3996c90a925f76aef84c32dd60adf3aa1aaf1484f1dfa085ae87d56fc5b8b6f2",
+    ),
+    ("primes", 8, 100): (
+        "6bb599f0edc8551e44364c3d7f07527beb4ce882a0aba47f45ef4ec01912ee52",
+        "9a080033da426c1e2127058519356c8b3e25e723ae3decc3f8784e230f9cdb43",
+    ),
+    ("primes", 8, 4097): (
+        "bf4716d361fd43f457865bb40a7c6cdc32aefbd42322cfa7a0f1e229fbb6f855",
+        "c262d30e63f63e47f7dfb68233a1650f1a012aa871d4005e5e6791c1563d40d1",
+    ),
+    ("primes", 64, 100): (
+        "dafca45bb01b8f18f5b2dabfab64bf1f07d956716d5ca0c88e8d21bf426dc55a",
+        "1ae71c8c1fa6d96d5f1a5260195df85fbfe5beb93ced31f4b9285f9b6a3000f4",
+    ),
+    ("primes", 64, 4097): (
+        "ee3be448c266b50a90bdb4a62352e1663536bfa81f980a56d34dadbc71711c17",
+        "c601f691b697099e50ad8e19a2994f0607686bd62448afedf1fca32fc0e83ae2",
+    ),
+}
+
+
 def _digests(oracle, kf, transcripts, outcomes):
     result = solve_parallel_links(oracle, kf)
     buf = io.StringIO()
@@ -403,6 +510,15 @@ class TestPinnedTranscripts:
                 oracle = CongestionOracle(gen_random_step_links(m, n, seed))
                 _digests(oracle, kf, transcripts, outcomes)
         assert (transcripts.hexdigest(), outcomes.hexdigest()) == GRID_PINNED[cell]
+
+    @pytest.mark.parametrize("cell", sorted(RATIONAL_PINNED))
+    def test_rational_grid(self, cell):
+        transcripts, outcomes = hashlib.sha256(), hashlib.sha256()
+        for seed in range(4):
+            for kf in (None, 3):
+                oracle = CongestionOracle(rational_step_links(*cell, seed))
+                _digests(oracle, kf, transcripts, outcomes)
+        assert (transcripts.hexdigest(), outcomes.hexdigest()) == RATIONAL_PINNED[cell]
 
     @pytest.mark.parametrize("n", sorted(ADVERSARY_PINNED))
     def test_adversary(self, n):
