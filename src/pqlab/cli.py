@@ -269,11 +269,10 @@ def _cmd_learn_dag(args) -> int:
     if not isinstance(game, CongestionGame):
         raise InvalidSpec("learn dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
-    reduced_game, cmap = dag.preprocess_contract(game)
-    view = dag.ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    tables = dag.learn_costs(view).as_tables()
+    learned, cmap = dag.learn_dag_game(oracle)
+    tables = learned.as_tables()
     equivalent, counterexample = verify.check_equivalence(
-        tables, reduced_game.cost, reduced_game, mode=args.verify_mode
+        tables, game, mode=args.verify_mode
     )
     payload = {
         "cost_tables": {

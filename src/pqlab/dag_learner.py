@@ -5,16 +5,18 @@ of every route changes nothing observable), so the learner reconstructs an
 *equivalent* cost function: one pricing every strategy of every profile
 identically.  It spends exactly |E| queries per player level, n*|E| total.
 
-Pipeline: contract every dependent edge pair in one rebuild (zero queries),
-learn all load-1 values in topological order, then lift level by level with
-bridge and two-path queries whose loads make every unknown appear exactly
-once; their paths and checks are planned once per network, so a bad path kit
+Pipeline (learn_dag_game, the one entry of `solve dag` and `learn dag`):
+contract every dependent edge pair in one rebuild (zero queries), learn all
+load-1 values in topological order, then lift level by level with bridge
+and two-path queries whose loads make every unknown appear exactly once;
+their paths and checks are planned once per network, so a bad path kit
 fails before any level query, and every level replays plain queries.
 One pass per network finds the edges on every path to and from each vertex,
 which gives both the dependent pairs and the bridges.  A pure equilibrium is
 found by potential descent and maps back through contraction.
 The learner reads its network from the oracle: after contraction, the
-ContractedOracle's reduced one.
+ContractedOracle's reduced one.  Contraction touches the network only,
+never a cost table, so a step-form game is never listed entry by entry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     PathSelectionFailed,
     PotentialNotDecreasing,
 )
-from .games import CongestionGame, Network, Path, edge_loads, exact_sum
+from .games import Network, Path, edge_loads, exact_sum
 
 _ZERO = Fraction(0)
 
@@ -298,27 +300,6 @@ def contract_network(net: Network) -> tuple[Network, ContractionMap]:
         label[net.destination],
     )
     return reduced, ContractionMap(original=net, reduced=reduced, steps=steps)
-
-
-def preprocess_contract(game: CongestionGame) -> tuple[CongestionGame, ContractionMap]:
-    """Contracted game whose equilibria translate back to the original's.
-
-    The removed edge of each dependent pair always shares its load with the
-    surviving partner, so adding its cost table onto the partner's preserves
-    the cost of every strategy in every profile.
-    """
-    reduced_net, cmap = contract_network(game.network)
-    if not cmap.steps:
-        return game, cmap
-    cost = {e: list(game.cost[e]) for e in game.network.edges}
-    for step in cmap.steps:
-        cost[step.absorber] = [
-            a + b for a, b in zip(cost[step.absorber], cost[step.removed])
-        ]
-    reduced = CongestionGame(
-        reduced_net, game.players, {e: cost[e] for e in reduced_net.edges}
-    )
-    return reduced, cmap
 
 
 class ContractedOracle:
@@ -605,8 +586,9 @@ def _plan_level(net: Network) -> tuple[tuple, ...]:
 def learn_costs(oracle) -> PartialCostFunction:
     """Full learning pass: |E| queries for load 1, then per level up to n.
 
-    The oracle's network must already be free of dependent edge pairs
-    (query through a ContractedOracle); total ledger cost is exactly |E| * n.
+    The oracle's network must already be free of dependent edge pairs;
+    learn_dag_game contracts any network first and queries through a
+    ContractedOracle.  Total ledger cost is exactly |E| * n.
     """
     if find_dependent_pair(oracle.network) is not None:
         raise InvalidSpec("network still contains a dependent edge pair")
@@ -616,6 +598,17 @@ def learn_costs(oracle) -> PartialCostFunction:
     if not f.is_total():
         raise AlgorithmInvariantViolated("learned cost function is not total")
     return f
+
+
+def learn_dag_game(oracle) -> tuple[PartialCostFunction, ContractionMap]:
+    """Contract the oracle's network once, then learn an equivalent cost function.
+
+    The learned function is keyed by the reduced network's edges: each
+    surviving edge's table carries the costs of the edges it absorbed.
+    """
+    _, cmap = contract_network(oracle.network)
+    view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
+    return learn_costs(view), cmap
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +699,7 @@ class DagSolveResult:
 def solve_dag_game(oracle) -> DagSolveResult:
     """Contract, learn an equivalent cost function, and compute a pure NE."""
     before = oracle.ledger.count
-    _, cmap = contract_network(oracle.network)
-    view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
-    f = learn_costs(view)
+    f, cmap = learn_dag_game(oracle)
     reduced_profile = solve_learned_game(f, cmap.reduced, oracle.players)
     return DagSolveResult(
         profile=cmap.map_profile_back(reduced_profile),

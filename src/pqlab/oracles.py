@@ -51,6 +51,8 @@ class _Budgeted:
     players: int
 
     def __init__(self, max_queries: int | None) -> None:
+        if max_queries is not None and (type(max_queries) is not int or max_queries < 0):
+            raise InvalidSpec(f"query budget must be an integer >= 0, got {max_queries!r}")
         self.ledger = QueryLedger()
         self._max_queries = max_queries
 

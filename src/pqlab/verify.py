@@ -249,19 +249,25 @@ def greedy_parallel_ne(
 
 def check_equivalence(
     learned: Mapping[int, Sequence[Fraction]],
-    truth: Mapping[int, Sequence[Fraction]],
     game: CongestionGame,
     mode: str = "exhaustive",
 ) -> tuple[bool, dict | None]:
-    """Do two cost functions price every player of every profile identically?
+    """Do learned tables price every player of every profile as the game does?
 
-    Exhaustive mode enumerates all anonymous profiles; sampled mode lists
-    every path and draws 200 random profiles of game.players players from a
-    generator seeded with 0.  The cap (the default or PQLAB_CAP) bounds the
-    profiles or the paths, and is checked before any path is listed.
-    Returns (equivalent, counterexample) where the counterexample names the
-    profile and the disagreeing path.
+    ``learned`` maps edge ids of the game to tables over loads 0..n.  An
+    edge missing from it costs 0 at every load (a learner that contracted
+    the edge carries its cost in another edge's table); a key that is not
+    an edge of the game is invalid input.  Exhaustive mode enumerates all
+    anonymous profiles; sampled mode lists every path and draws 200 random
+    profiles of game.players players from a generator seeded with 0.  The
+    cap (the default or PQLAB_CAP) bounds the profiles or the paths, and is
+    checked before any path is listed.  Returns (equivalent,
+    counterexample) where the counterexample names the profile and the
+    disagreeing path of the game.
     """
+    foreign = [e for e in learned if e not in game.network.edges]
+    if foreign:
+        raise InvalidSpec(f"learned tables name edges the game lacks: {foreign}")
     if mode == "exhaustive":
         profiles = all_profiles(game)
     elif mode == "sampled":
@@ -279,8 +285,8 @@ def check_equivalence(
         for path, count in profile.items():
             if count == 0:
                 continue
-            got = sum((Fraction(learned[e][loads[e]]) for e in path), _ZERO)
-            want = sum((Fraction(truth[e][loads[e]]) for e in path), _ZERO)
+            got = sum((Fraction(learned[e][loads[e]]) for e in path if e in learned), _ZERO)
+            want = _path_cost(game, path, loads)
             if got != want:
                 return False, {"profile": profile, "path": path, "got": got, "want": want}
     return True, None

@@ -22,7 +22,7 @@ from pqlab import (
     half_approx_ne,
     regret,
 )
-from pqlab.dag_learner import contract_network, preprocess_contract, solve_dag_game
+from pqlab.dag_learner import contract_network, solve_dag_game
 from pqlab.games import link_tables
 from pqlab.graphical import learn_graphical, probe_set_size
 from pqlab.instances import (
@@ -43,6 +43,7 @@ from pqlab.verify import (
     exact_ne_2x2,
     is_delta_equilibrium,
 )
+from tests.test_dag_learner import reduced_game
 
 F = Fraction
 HALF = F(1, 2)
@@ -276,14 +277,10 @@ def test_criterion_09_dag_learner_equivalence_and_accounting():
         for game in _dag_instances(100, max_edges=14):
             oracle = CongestionOracle(game)
             result = solve_dag_game(oracle)
-            reduced_game, _ = preprocess_contract(game)
-            edges = len(reduced_game.network.edges)
+            edges = len(result.contraction.reduced.edges)
             assert result.queries_used == edges * game.players
             ok, counterexample = check_equivalence(
-                result.learned.as_tables(),
-                reduced_game.cost,
-                reduced_game,
-                mode="exhaustive",
+                result.learned.as_tables(), game, mode="exhaustive"
             )
             assert ok, counterexample
             assert deviation_report(game, result.profile).is_equilibrium
@@ -300,11 +297,11 @@ def test_criterion_10_preprocessing_round_trip():
             oracle = CongestionOracle(game)
             reduced_net, cmap = contract_network(oracle.network)
             assert oracle.ledger.count == 0
-            reduced_game, cmap2 = preprocess_contract(game)
+            reduced, cmap2 = reduced_game(game)
             assert [s.removed for s in cmap.steps] == [
                 s.removed for s in cmap2.steps
             ]
-            nes = brute_force_pure_ne(reduced_game)
+            nes = brute_force_pure_ne(reduced)
             assert nes
             mapped = cmap2.map_profile_back(nes[0])
             assert deviation_report(game, mapped).is_equilibrium

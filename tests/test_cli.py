@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import operator
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqlab import (
+    CongestionGame,
     GraphicalGame,
     InvalidSpec,
     MixedProfile,
+    Network,
     PqlabError,
     parallel_links,
     serialize,
@@ -31,6 +34,7 @@ from pqlab.cli import (
     main,
     make_game,
 )
+from pqlab.games import StepTable
 from pqlab.instances import gen_matching_pennies, gen_random_dag, gen_random_step_links
 from pqlab.parallel_links import LinkLoads
 from pqlab.verify import deviation_report
@@ -312,6 +316,25 @@ def test_wrong_input_for_the_command_is_invalid_spec(argv, message):
         args.func(args)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "dag", "--gen", "step:m=2,n=4,seed=0"],
+        ["solve", "dag", "--gen", "random-dag:v=6,e=9,n=2,seed=4"],
+        ["solve", "parallel-links", "--adversary", "--players", "8"],
+        ["solve", "bimatrix", "--gen", "pennies:k=2"],
+        ["learn", "graphical", "--degree", "1", "--gen",
+         "random-graphical:n=3,k=2,d=1,seed=0"],
+    ],
+    ids=["learn-dag", "solve-dag", "adversary", "bimatrix", "graphical"],
+)
+def test_a_negative_budget_is_invalid_input(capsys, argv):
+    assert main([*argv, "--budget", "-1"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "query budget must be an integer >= 0, got -1" in err
+    assert "exhausted" not in err
+
+
 class TestSolveBimatrix:
     def test_half_ne_on_random_game(self, tmp_path):
         code, payload = run(
@@ -521,6 +544,74 @@ class TestSolveAndLearnDag:
                 "--budget", "3"]
         assert main(argv) == EXIT_BUDGET
         assert "query budget of 3 exhausted" in capsys.readouterr().err
+
+    def test_contracted_step_dag_never_lists_a_table(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A two-edge chain before two parallel links: the chain contracts,
+        # and learning and checking read the step tables by breakpoints.
+        n = 2**20
+        net = Network((0, 1, 2, 3), {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3)}, 0, 3)
+        game = CongestionGame(
+            net, n, {e: StepTable([(0, e), (n // 2, e + 1)], n) for e in net.edges}
+        )
+        game_file = tmp_path / "game.json"
+        game_file.write_text(json.dumps(serialize.game_to_dict(game)))
+
+        def listed(table):
+            raise AssertionError("a step table was listed entry by entry")
+
+        monkeypatch.setattr(StepTable, "__iter__", listed)
+        argv = ["learn", "dag", "--game", str(game_file), "--budget", "3"]
+        assert main(argv) == EXIT_BUDGET
+        assert "query budget of 3 exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            f"random-dag:v={v},e={e},n={n},seed={seed},subdivide={subdivide}"
+            for (v, e, n), seed, subdivide in itertools.product(
+                [(6, 9, 2), (7, 12, 3)], range(3), range(3)
+            )
+        ],
+    )
+    def test_learn_and_solve_share_one_learning_entry(
+        self, tmp_path, monkeypatch, spec
+    ):
+        from pqlab import dag_learner
+
+        entry = dag_learner.learn_dag_game
+        seen = []
+
+        def spy(oracle):
+            learned, cmap = entry(oracle)
+            seen.append((oracle, learned))
+            return learned, cmap
+
+        monkeypatch.setattr(dag_learner, "learn_dag_game", spy)
+        runs = {}
+        for command in ("learn", "solve"):
+            code, payload = run(tmp_path, command, "dag", "--gen", spec)
+            assert code == EXIT_OK
+            (oracle, learned), = seen
+            seen.clear()
+            buf = io.StringIO()
+            oracle.ledger.dump_jsonl(buf)
+            runs[command] = (
+                oracle.ledger.count,
+                oracle.ledger.log,
+                buf.getvalue().encode(),
+                learned.as_tables(),
+                payload["queries_used"],
+                payload["contracted_edges"],
+            )
+            if command == "learn":
+                tables = payload["cost_tables"]
+        assert runs["learn"] == runs["solve"]
+        assert tables == {
+            str(e): [str(v) for v in table]
+            for e, table in sorted(runs["solve"][3].items())
+        }
 
 class TestLearnGraphical:
     def test_learned_game_matches(self, tmp_path):

@@ -26,9 +26,9 @@ from pqlab.dag_learner import (
     find_bridges,
     find_dependent_pair,
     learn_costs,
+    learn_dag_game,
     learn_level,
     learn_one_player,
-    preprocess_contract,
     solve_dag_game,
     solve_learned_game,
     two_edge_disjoint_paths,
@@ -47,6 +47,21 @@ def _snapshot(f):
     return {e: dict(vals) for e, vals in f._values.items()}
 
 
+def reduced_game(game):
+    """The contracted game and its map: each removed edge's cost table is
+    added onto its absorber's, which prices every strategy of every profile
+    as the original does.  With nothing to contract, the game itself."""
+    net, cmap = contract_network(game.network)
+    if not cmap.steps:
+        return game, cmap
+    cost = {e: list(game.cost[e]) for e in game.network.edges}
+    for step in cmap.steps:
+        cost[step.absorber] = [
+            a + b for a, b in zip(cost[step.absorber], cost[step.removed])
+        ]
+    return CongestionGame(net, game.players, {e: cost[e] for e in net.edges}), cmap
+
+
 def chain_game(players=2):
     net = Network((0, 1, 2), {0: (0, 1), 1: (1, 2)}, 0, 2)
     return CongestionGame(
@@ -57,7 +72,7 @@ def chain_game(players=2):
 class TestDependenceAndContraction:
     def test_chain_contracts_to_single_edge(self):
         game = chain_game(2)
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = reduced_game(game)
         assert len(reduced.edges) == 1
         (edge,) = reduced.edges
         assert reduced.cost[edge] == (3, 3, 3)
@@ -66,13 +81,13 @@ class TestDependenceAndContraction:
     def test_diamond_has_no_dependent_pairs(self):
         game = diamond(players=2)
         assert find_dependent_pair(game.network) is None
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = reduced_game(game)
         assert reduced.network == game.network
         assert not cmap.steps
 
     def test_nothing_to_contract_keeps_the_game_and_its_tables(self):
         game = gen_random_step_links(2, 2**40, seed=0)
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = reduced_game(game)
         assert reduced is game
         assert not cmap.steps
 
@@ -90,7 +105,7 @@ class TestDependenceAndContraction:
     def test_path_costs_preserved_for_every_profile(self):
         for seed in range(20):
             game = gen_random_dag(6, 8, 2, seed, subdivide=2)
-            reduced, cmap = preprocess_contract(game)
+            reduced, cmap = reduced_game(game)
             for profile in brute_force_pure_ne(reduced):
                 mapped = cmap.map_profile_back(profile)
                 # Same strategy costs under the translation.
@@ -104,7 +119,7 @@ class TestDependenceAndContraction:
     def test_contracted_ne_maps_back_to_original_ne(self):
         for seed in range(12):
             game = gen_random_dag(5, 7, 2, seed, subdivide=2)
-            reduced, cmap = preprocess_contract(game)
+            reduced, cmap = reduced_game(game)
             for ne in brute_force_pure_ne(reduced):
                 mapped = cmap.map_profile_back(ne)
                 assert deviation_report(game, mapped).is_equilibrium
@@ -266,7 +281,7 @@ class TestLearnOnePlayer:
             oracle = CongestionOracle(game)
             view = ContractedOracle(oracle, cmap)
             f = learn_one_player(view)
-            reduced, _ = preprocess_contract(game)
+            reduced, _ = reduced_game(game)
             for path in enumerate_paths(net):
                 want = sum(reduced.cost[e][1] for e in path)
                 assert sum(f.value(e, 1) for e in path) == want
@@ -278,9 +293,7 @@ class TestLearnLevels:
         oracle = CongestionOracle(game)
         f = learn_costs(oracle)
         assert oracle.ledger.count == 8  # |E| per level, two levels
-        ok, counterexample = check_equivalence(
-            f.as_tables(), game.cost, game, mode="exhaustive"
-        )
+        ok, counterexample = check_equivalence(f.as_tables(), game, mode="exhaustive")
         assert ok, counterexample
 
     def test_single_edge_five_players(self):
@@ -439,11 +452,30 @@ class TestEndToEnd:
         oracle = CongestionOracle(game)
         result = solve_dag_game(oracle)
         assert deviation_report(game, result.profile).is_equilibrium
-        reduced, _ = preprocess_contract(game)
-        ok, counterexample = check_equivalence(
-            result.learned.as_tables(), reduced.cost, reduced
-        )
+        ok, counterexample = check_equivalence(result.learned.as_tables(), game)
         assert ok, counterexample
+
+    def test_original_and_reduced_games_give_one_verdict(self):
+        # The learned tables are keyed by surviving edges; on the original
+        # game a contracted edge costs 0 and its absorber carries it, which
+        # is how the reduced game prices the same paths.
+        contracted = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            game = gen_random_dag(6, 9, rng.randint(1, 3), seed, subdivide=seed % 3)
+            f, cmap = learn_dag_game(CongestionOracle(game))
+            reduced, _ = reduced_game(game)
+            contracted += bool(cmap.steps)
+            tables = {e: list(t) for e, t in f.as_tables().items()}
+            assert check_equivalence(tables, game) == (True, None)
+            assert check_equivalence(tables, reduced) == (True, None)
+            e = rng.choice(sorted(tables))
+            tables[e][rng.randint(1, game.players)] += 1
+            ok, counterexample = check_equivalence(tables, game)
+            assert not ok and not check_equivalence(tables, reduced)[0]
+            game.network.validate_path(counterexample["path"])
+            assert counterexample["got"] == counterexample["want"] + 1
+        assert contracted >= 12
 
 
 class TestBridgeGeometry:
@@ -475,7 +507,7 @@ class TestBridgeGeometry:
         oracle = CongestionOracle(game)
         f = learn_costs(oracle)
         assert oracle.ledger.count == 7 * 3
-        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game)
+        ok, counterexample = check_equivalence(f.as_tables(), game)
         assert ok, counterexample
 
     def test_sole_in_edge_vertex_with_downstream_bridge(self):
@@ -495,7 +527,7 @@ class TestBridgeGeometry:
         oracle = CongestionOracle(game)
         f = learn_costs(oracle)
         assert oracle.ledger.count == 5 * 4
-        ok, counterexample = check_equivalence(f.as_tables(), game.cost, game)
+        ok, counterexample = check_equivalence(f.as_tables(), game)
         assert ok, counterexample
 
     def test_bridge_between_two_diamonds(self):
@@ -730,8 +762,8 @@ class TestTopologicalOrderOnce:
 class TestContractionMapping:
     def test_mapping_is_remembered_and_unchanged(self):
         game = gen_random_dag(7, 12, 2, seed=0, subdivide=2)
-        reduced, cmap = preprocess_contract(game)
-        fresh = preprocess_contract(game)[1]
+        reduced, cmap = contract_network(game.network)
+        fresh = contract_network(game.network)[1]
         for path in enumerate_paths(reduced):
             first = cmap.map_path_back(path)
             assert cmap.map_path_back(path) is first
@@ -740,7 +772,7 @@ class TestContractionMapping:
 
     def test_invalid_path_raises_every_time(self):
         game = gen_random_dag(7, 12, 2, seed=0, subdivide=2)
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = contract_network(game.network)
         bad = enumerate_paths(reduced)[0][:-1]
         for _ in range(2):
             with pytest.raises((InvalidProfile, AlgorithmInvariantViolated)):
@@ -769,7 +801,7 @@ class TestOneValidationPerQuery:
     def test_contracted_view_rejects_bad_paths_uncharged(self, bad):
         game = gen_random_dag(7, 12, 3, 0, subdivide=2)
         oracle = CongestionOracle(game)
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = contract_network(game.network)
         assert cmap.steps
         good = enumerate_paths(reduced)[0]
         path = {
@@ -788,7 +820,7 @@ class TestOneValidationPerQuery:
     def test_contracted_view_refuses_untyped_queries_uncharged(self):
         game = gen_random_dag(6, 9, 2, 0, subdivide=2)
         oracle = CongestionOracle(game)
-        reduced, cmap = preprocess_contract(game)
+        reduced, cmap = contract_network(game.network)
         assert cmap.steps
         good = enumerate_paths(reduced)[0]
         view = ContractedOracle(oracle, cmap)

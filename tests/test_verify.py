@@ -142,25 +142,47 @@ class TestCheckEquivalence:
     def test_diamond_alternative_tables_equivalent(self):
         game = diamond(players=1, f_a=1, f_b=1, f_c=0, f_d=0)
         other = {0: [F(0)] * 2, 1: [F(0)] * 2, 2: [F(1)] * 2, 3: [F(1)] * 2}
-        ok, counterexample = check_equivalence(other, game.cost, game)
+        ok, counterexample = check_equivalence(other, game)
         assert ok and counterexample is None
 
     def test_reflexive(self):
         game = gen_random_dag(5, 7, 2, seed=3)
-        ok, _ = check_equivalence(game.cost, game.cost, game)
+        ok, _ = check_equivalence(game.cost, game)
         assert ok
 
     def test_mutation_detected(self):
         game = diamond(players=2, f_a=1, f_b=1, f_c=0, f_d=0)
         mutated = {e: list(t) for e, t in game.cost.items()}
         mutated[2][1] += 1
-        ok, counterexample = check_equivalence(mutated, game.cost, game)
+        ok, counterexample = check_equivalence(mutated, game)
         assert not ok
         assert counterexample is not None and 2 in counterexample["path"]
 
+    def test_an_edge_missing_from_the_learned_tables_costs_zero(self):
+        # Edge 1 of the chain always shares its load with edge 0, so edge 0
+        # may carry both costs, as it does once edge 1 is contracted.
+        game = CongestionGame(
+            Network((0, 1, 2), {0: (0, 1), 1: (1, 2)}, 0, 2),
+            2,
+            {0: [F(1), F(1), F(2)], 1: [F(0), F(2), F(5)]},
+        )
+        ok, counterexample = check_equivalence({0: [F(1), F(3), F(7)]}, game)
+        assert ok and counterexample is None
+        ok, counterexample = check_equivalence({0: game.cost[0]}, game)
+        assert not ok
+        assert counterexample["got"] == counterexample["want"] - game.cost[1][2]
+
+    @pytest.mark.parametrize("key", [4, -1, "0"])
+    def test_a_learned_edge_the_game_lacks_is_invalid(self, key):
+        game = diamond(players=1)
+        learned = {**game.cost, key: [F(0), F(0)]}
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(InvalidSpec, match="edges the game lacks"):
+                check_equivalence(learned, game, mode=mode)
+
     def test_sampled_mode(self):
         game = gen_random_dag(6, 9, 3, seed=5)
-        ok, _ = check_equivalence(game.cost, game.cost, game, mode="sampled")
+        ok, _ = check_equivalence(game.cost, game, mode="sampled")
         assert ok
 
     def test_sampled_mode_draws_every_player(self):
@@ -169,7 +191,7 @@ class TestCheckEquivalence:
         game = parallel_links_game([[0, 1, 2], [0, 3, 4]], 2)
         mutated = {e: list(t) for e, t in game.cost.items()}
         mutated[0][2] += 1
-        ok, counterexample = check_equivalence(mutated, game.cost, game, mode="sampled")
+        ok, counterexample = check_equivalence(mutated, game, mode="sampled")
         assert not ok
         assert counterexample["profile"] == {(0,): 2}
 
@@ -194,17 +216,17 @@ def test_cap_is_checked_before_any_path_is_listed(mode):
     game = make_game(HUGE_DAG)
     assert path_count(game) == 2_575_285_748
     with pytest.raises(TooLarge, match="2575285748 paths"):
-        check_equivalence(game.cost, game.cost, game, mode=mode)
+        check_equivalence(game.cost, game, mode=mode)
 
 
 def test_sampled_mode_cap_counts_paths(monkeypatch):
     game = gen_random_dag(6, 9, 3, seed=5)
     paths = len(enumerate_paths(game))
     monkeypatch.setenv("PQLAB_CAP", str(paths))
-    assert check_equivalence(game.cost, game.cost, game, mode="sampled")[0]
+    assert check_equivalence(game.cost, game, mode="sampled")[0]
     monkeypatch.setenv("PQLAB_CAP", str(paths - 1))
     with pytest.raises(TooLarge, match=f"{paths} paths exceed the cap of {paths - 1}"):
-        check_equivalence(game.cost, game.cost, game, mode="sampled")
+        check_equivalence(game.cost, game, mode="sampled")
 
 
 class TestExactNe2x2:
