@@ -132,6 +132,11 @@ class GraphicalGame:
     can change p's payoff.  ``payoff_tables[p]`` maps
     ``(own_strategy, neighbor_strategies)`` to a payoff in [0, 1], where the
     neighbor strategies follow the order of ``in_neighbors[p]``.
+
+    ``payoff`` reads a derived index, built on the first lookup: per player,
+    an ``itemgetter`` that picks ``(own, *neighbor_strategies)`` out of a
+    profile (the bare own strategy when p has no in-neighbors) and a dict
+    keyed by that, holding the same entries as ``payoff_tables[p]``.
     """
 
     players: int
@@ -170,18 +175,31 @@ class GraphicalGame:
             (q, p) for p, nbrs in enumerate(self.in_neighbors) for q in nbrs
         )
 
+    @cached_property
+    def _payoff_index(self) -> tuple[tuple[operator.itemgetter, dict], ...]:
+        index = []
+        for p, nbrs in enumerate(self.in_neighbors):
+            table = self.payoff_tables[p]
+            if nbrs:
+                flat = {(own, *ctx): v for (own, ctx), v in table.items()}
+            else:
+                flat = {own: v for (own, _), v in table.items()}
+            index.append((operator.itemgetter(p, *nbrs), flat))
+        return tuple(index)
+
     def payoff(self, player: int, profile: Sequence[int]) -> Fraction:
-        # The table's keys are exactly the in-range (own, ctx) pairs, so the
-        # lookup checks every entry this payoff reads; `payoffs` reads them all.
+        # The index's keys are exactly the in-range (own, *ctx) entries, so the
+        # lookup checks every entry this payoff reads (a negative strategy is
+        # no key, never a wrapped index); `payoffs` reads them all.
         if len(profile) == self.players:
-            ctx = tuple(profile[q] for q in self.in_neighbors[player])
-            value = self.payoff_tables[player].get((profile[player], ctx))
+            get, table = self._payoff_index[player]
+            value = table.get(get(profile))
             if value is not None:
                 return value
         raise InvalidProfile(f"profile {tuple(profile)} malformed for this game")
 
     def payoffs(self, profile: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(self.payoff(p, profile) for p in range(self.players))
+        return tuple([self.payoff(p, profile) for p in range(self.players)])
 
 
 class Network:

@@ -9,6 +9,7 @@ read every payoff table off the profiles where non-neighbors play the anchor.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DegreeViolation, InvalidSpec
@@ -58,8 +59,15 @@ def learn_graphical(
     promise is detected only by the degree count: DegreeViolation is raised
     when some player shows more than d influencing players on the probe set.
     A violating game that looks consistent with the promise on the probe set
-    cannot be detected.
+    cannot be detected.  Unless the oracle hides n players with k strategies
+    each, InvalidSpec is raised before the first query.
     """
+    if n != oracle.players or (k,) * n != oracle.strategy_counts:
+        raise InvalidSpec(
+            f"learning n={n} players with k={k} strategies each, but the oracle "
+            f"hides {oracle.players} players with strategy counts "
+            f"{oracle.strategy_counts}"
+        )
     probes = build_probe_set(n, k, d)
     responses: dict[tuple[int, ...], tuple[Fraction, ...]] = {
         s: oracle.query_pure(s) for s in probes
@@ -68,19 +76,29 @@ def learn_graphical(
     # Witness-based edge discovery: compare each probe with its parent, the
     # probe with deviator q reset to the anchor.  Probes differing only in q
     # share that parent, so if they disagree on p's payoff, one of them
-    # disagrees with the parent.  A payoff that q does not affect is read
-    # from the same table entry, so it is the same object, at both; the
-    # identity test only skips comparing values and is exact for any oracle.
+    # disagrees with the parent.  Per deviator q, watch[q] lists the players
+    # not yet known to be influenced by q, and get[q] picks their payoffs out
+    # of a response: one tuple comparison per probe/parent pair, which tests
+    # identity before value (a payoff q does not affect is read from the same
+    # table entry at both, so it is usually the same object; with one
+    # player watched the pick is a bare payoff, hence `is not` first).  Only
+    # when the picks differ are the watched players walked, and the ones
+    # found leave the watch list; an edge already found cannot be found
+    # again, so the edges are those of comparing every player at every pair.
     edges: set[tuple[int, int]] = set()
+    watch = [[p for p in range(n) if p != q] for q in range(n)]
+    get = [operator.itemgetter(*w) if w else None for w in watch]
     for s, payoffs in responses.items():
-        for q in range(n):
-            if s[q] == 0:
+        for q, sq in enumerate(s):
+            if sq == 0 or get[q] is None:
                 continue
             base = responses[s[:q] + (0,) + s[q + 1 :]]
-            for p in range(n):
-                a, b = payoffs[p], base[p]
-                if p != q and a is not b and a != b:
-                    edges.add((q, p))
+            a, b = get[q](payoffs), get[q](base)
+            if a is not b and a != b:
+                found = [p for p in watch[q] if payoffs[p] != base[p]]
+                edges.update((q, p) for p in found)
+                watch[q] = [p for p in watch[q] if p not in found]
+                get[q] = operator.itemgetter(*watch[q]) if watch[q] else None
 
     in_neighbors = tuple(
         tuple(sorted(q for (q, p2) in edges if p2 == p)) for p in range(n)

@@ -204,15 +204,34 @@ def _check_cap(count: int, what: str, cap: int | None = None) -> None:
         raise TooLarge(f"{count} {what} exceed the cap of {limit}")
 
 
-def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
-    """Every anonymous profile (multiset of n paths); guarded by the cap,
-    which is checked before any path is listed."""
+def _check_profile_cap(game: CongestionGame, cap: int | None = None) -> None:
     n, paths = game.players, path_count(game)
     count = math.comb(paths + n - 1, n)
     _check_cap(count, f"anonymous profiles ({paths} paths, {n} players)", cap)
+
+
+def check_equivalence_cap(game: CongestionGame, mode: str = "exhaustive") -> None:
+    """Raise what check_equivalence(..., game, mode) would raise before it
+    lists a path: TooLarge when the anonymous profiles (exhaustive mode) or
+    the paths (sampled mode) exceed the cap, InvalidSpec for an unknown mode.
+    Needs only the network, so a learner can be stopped before it queries."""
+    if mode == "exhaustive":
+        _check_profile_cap(game)
+    elif mode == "sampled":
+        _check_cap(path_count(game), "paths")
+    else:
+        raise InvalidSpec(f"unknown mode {mode!r}")
+
+
+def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
+    """Every anonymous profile (multiset of n paths); guarded by the cap,
+    which is checked before any path is listed."""
+    _check_profile_cap(game, cap)
     return [
         dict(Counter(combo))
-        for combo in itertools.combinations_with_replacement(enumerate_paths(game), n)
+        for combo in itertools.combinations_with_replacement(
+            enumerate_paths(game), game.players
+        )
     ]
 
 
@@ -268,19 +287,16 @@ def check_equivalence(
     foreign = [e for e in learned if e not in game.network.edges]
     if foreign:
         raise InvalidSpec(f"learned tables name edges the game lacks: {foreign}")
+    check_equivalence_cap(game, mode)
+    paths = enumerate_paths(game)
     if mode == "exhaustive":
-        profiles = all_profiles(game)
-    elif mode == "sampled":
-        _check_cap(path_count(game), "paths")
-        paths = enumerate_paths(game)
-        rng = random.Random(_SAMPLE_SEED)
-        profiles = [
-            dict(Counter(rng.choices(paths, k=game.players))) for _ in range(_SAMPLES)
-        ]
+        combos = itertools.combinations_with_replacement(paths, game.players)
     else:
-        raise InvalidSpec(f"unknown mode {mode!r}")
+        rng = random.Random(_SAMPLE_SEED)
+        combos = (rng.choices(paths, k=game.players) for _ in range(_SAMPLES))
 
-    for profile in profiles:
+    for combo in combos:
+        profile = dict(Counter(combo))
         loads = edge_loads(game, profile)
         for path, count in profile.items():
             if count == 0:

@@ -490,6 +490,29 @@ class TestSolveAndLearnDag:
         assert main(argv) == EXIT_INVALID
         assert "exceed the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [[], ["--budget", "800"]])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_learn_dag_too_large_to_check_queries_nothing(
+        self, monkeypatch, capsys, mode, budget
+    ):
+        # The pruned network keeps 387 edges: learning would spend 2 * 387
+        # queries, which a budget of 800 covers.
+        from pqlab import cli, oracles
+
+        built = []
+
+        class Recorded(oracles.CongestionOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "CongestionOracle", Recorded)
+        argv = ["learn", "dag", "--gen", "random-dag:v=120,e=400,n=2,seed=0",
+                "--verify-mode", mode, *budget]
+        assert main(argv) == EXIT_INVALID
+        assert "exceed the cap" in capsys.readouterr().err
+        assert [oracle.ledger.count for oracle in built] == [0]
+
     @pytest.mark.parametrize("command", ["learn", "solve"])
     @pytest.mark.parametrize(
         "spec, queries",

@@ -1,5 +1,6 @@
 """Core game semantics: loads, costs, payoffs, regret, paths, orderings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from pqlab import (
     BimatrixGame,
     CongestionGame,
+    GraphicalGame,
     InvalidProfile,
     InvalidSpec,
     LoadOutOfRange,
@@ -26,7 +28,13 @@ from pqlab.games import (
     strategy_costs,
     validate_profile,
 )
-from pqlab.instances import gen_matching_pennies, gen_G_ell, GellSpec, gen_random_bimatrix
+from pqlab.instances import (
+    GellSpec,
+    gen_G_ell,
+    gen_matching_pennies,
+    gen_random_bimatrix,
+    gen_random_graphical,
+)
 from pqlab.verify import exact_ne_2x2
 
 F = Fraction
@@ -433,3 +441,90 @@ class TestStepTable:
         assert strategy_costs(game, {(0,): n // 3, (1,): n - n // 3}) == {
             (0,): 2, (1,): 0
         }
+
+
+def _dict_payoff(game, player, profile):
+    """The payoff as one (own, ctx) lookup in payoff_tables; KeyError when
+    the profile names no entry."""
+    ctx = tuple(profile[q] for q in game.in_neighbors[player])
+    return game.payoff_tables[player][(profile[player], ctx)]
+
+
+class TestGraphicalPayoffIndex:
+    GAMES = [
+        (n, k, degree, seed)
+        for n, k in ((1, 2), (2, 1), (3, 2), (4, 3))
+        for degree in range(min(n, 3))
+        for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("n, k, degree, seed", GAMES)
+    def test_lookup_equals_the_table_entry_on_every_profile(self, n, k, degree, seed):
+        game = gen_random_graphical(n, k, degree, seed)
+        for profile in itertools.product(range(k), repeat=n):
+            want = tuple(_dict_payoff(game, p, profile) for p in range(n))
+            assert game.payoffs(profile) == want
+            assert game.payoffs(list(profile)) == want
+            for p in range(n):
+                assert game.payoff(p, profile) is want[p]
+
+    def test_mixed_in_degrees_including_none(self):
+        # 1 and 2 read nobody; 0 reads both; 3 reads 0 only.
+        k = 3
+        nbrs = ((1, 2), (), (), (0,))
+        tables = tuple(
+            {
+                (own, ctx): F((own + 2 * sum(ctx) + p) % 17, 16)
+                for own in range(k)
+                for ctx in itertools.product(range(k), repeat=len(nb))
+            }
+            for p, nb in enumerate(nbrs)
+        )
+        game = GraphicalGame(4, k, nbrs, tables)
+        for profile in itertools.product(range(k), repeat=4):
+            want = tuple(_dict_payoff(game, p, profile) for p in range(4))
+            assert game.payoffs(profile) == want
+
+    @pytest.mark.parametrize(
+        "value", [1.0, True, False, F(1), F(1, 2), 1.5, -1, 3, -3, "1", None, (1,), [1]]
+    )
+    def test_other_spellings_as_the_table_lookup(self, value):
+        # Direct calls bypass the oracle's int check: whatever the (own, ctx)
+        # dict accepted or refused, the index accepts or refuses.
+        game = GraphicalGame(
+            3,
+            3,
+            ((1,), (), (0, 1)),
+            (
+                {(o, (s,)): F(o + 3 * s, 16) for o in range(3) for s in range(3)},
+                {(o, ()): F(o, 4) for o in range(3)},
+                {
+                    (o, (s, t)): F(o + s + t, 8)
+                    for o in range(3)
+                    for s in range(3)
+                    for t in range(3)
+                },
+            ),
+        )
+        for p, at in itertools.product(range(3), range(3)):
+            profile = [1, 2, 0]
+            profile[at] = value
+            try:
+                want = _dict_payoff(game, p, profile)
+            except KeyError:
+                with pytest.raises(InvalidProfile):
+                    game.payoff(p, profile)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    game.payoff(p, profile)
+            else:
+                assert game.payoff(p, profile) == want
+
+    def test_construction_builds_no_index(self):
+        game = gen_random_graphical(5, 3, 2, seed=4)
+        twin = gen_random_graphical(5, 3, 2, seed=4)
+        assert "_payoff_index" not in vars(game)
+        game.payoff(0, (0,) * 5)
+        assert "_payoff_index" in vars(game)
+        assert "_payoff_index" not in vars(twin)
+        assert game == twin

@@ -248,3 +248,53 @@ def test_fresh_payoff_objects_learn_the_same_game(k, seed):
     fresh = learn_graphical(FreshFractionOracle(game), 5, k, 2)
     assert fresh.affects_edges == shared.affects_edges == game.affects_edges
     assert fresh.game == shared.game == game
+
+
+def one_context_game():
+    """Player 3 reads players 0 and 1 but moves only at (s0, s1) == (2, 1):
+    each edge into 3 has exactly one witness context of the other reader.
+    Player 2 reads player 0 at every strategy, so 0's first witness pair
+    shows the edge into 2 and not the one into 3."""
+    k = 3
+    nbrs = ((), (2,), (0,), (0, 1))
+    tables = (
+        {(own, ()): F(own, 4) for own in range(k)},
+        {(own, (s,)): F(own + s, 8) for own in range(k) for s in range(k)},
+        {(own, (s,)): F(own + 2 * s, 8) for own in range(k) for s in range(k)},
+        {
+            (own, (s0, s1)): F(own + 4 * (s0 == 2 and s1 == 1), 8)
+            for own in range(k)
+            for s0 in range(k)
+            for s1 in range(k)
+        },
+    )
+    return GraphicalGame(4, k, nbrs, tables)
+
+
+@pytest.mark.parametrize("oracle_type", [PurePayoffOracle, FreshFractionOracle])
+def test_an_edge_witnessed_in_one_context_is_found(oracle_type):
+    game = one_context_game()
+    learned = learn_graphical(oracle_type(game), 4, 3, 2)
+    assert learned.affects_edges == {(2, 1), (0, 2), (0, 3), (1, 3)}
+    assert learned.affects_edges == game.affects_edges
+    assert learned.game == game
+
+
+@pytest.mark.parametrize(
+    "n, k, d", [(5, 2, 2), (5, 4, 2), (4, 3, 2), (6, 3, 2), (5, 1, 2)]
+)
+def test_a_learner_sized_unlike_the_game_queries_nothing(n, k, d):
+    oracle = PurePayoffOracle(gen_random_graphical(5, 3, 2, seed=0))
+    with pytest.raises(InvalidSpec, match="strategy counts"):
+        learn_graphical(oracle, n, k, d)
+    assert oracle.ledger.count == 0
+
+
+def test_a_non_square_bimatrix_oracle_is_refused_uncharged():
+    from pqlab.instances import gen_random_bimatrix
+
+    oracle = PurePayoffOracle(gen_random_bimatrix(3, seed=0, rows=2))
+    for k in (2, 3):
+        with pytest.raises(InvalidSpec):
+            learn_graphical(oracle, 2, k, 1)
+    assert oracle.ledger.count == 0

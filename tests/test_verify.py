@@ -34,6 +34,7 @@ from pqlab.verify import (
     all_profiles,
     brute_force_pure_ne,
     check_equivalence,
+    check_equivalence_cap,
     deviation_report,
     exact_ne_2x2,
     greedy_parallel_ne,
@@ -227,6 +228,31 @@ def test_sampled_mode_cap_counts_paths(monkeypatch):
     monkeypatch.setenv("PQLAB_CAP", str(paths - 1))
     with pytest.raises(TooLarge, match=f"{paths} paths exceed the cap of {paths - 1}"):
         check_equivalence(game.cost, game, mode="sampled")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_the_cap_helper_refuses_what_check_equivalence_refuses(monkeypatch, mode):
+    # One DAG with 3 players: exhaustive mode counts C(P + 2, 3) profiles,
+    # sampled mode counts P paths; either cap is checked without the tables.
+    game = gen_random_dag(6, 9, 3, seed=5)
+    paths = len(enumerate_paths(game))
+    limit = math.comb(paths + 2, 3) if mode == "exhaustive" else paths
+    monkeypatch.setenv("PQLAB_CAP", str(limit))
+    check_equivalence_cap(game, mode)
+    assert check_equivalence(game.cost, game, mode=mode)[0]
+    monkeypatch.setenv("PQLAB_CAP", str(limit - 1))
+    with pytest.raises(TooLarge, match=f"exceed the cap of {limit - 1}"):
+        check_equivalence_cap(game, mode)
+    with pytest.raises(TooLarge, match=f"exceed the cap of {limit - 1}"):
+        check_equivalence(game.cost, game, mode=mode)
+
+
+def test_an_unknown_mode_is_invalid_before_anything_is_listed():
+    game = diamond(players=1)
+    with pytest.raises(InvalidSpec, match="unknown mode"):
+        check_equivalence_cap(game, "random")
+    with pytest.raises(InvalidSpec, match="unknown mode"):
+        check_equivalence(game.cost, game, mode="random")
 
 
 class TestExactNe2x2:
