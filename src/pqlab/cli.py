@@ -269,10 +269,12 @@ def _cmd_learn_dag(args) -> int:
     if not isinstance(game, CongestionGame):
         raise InvalidSpec("learn dag needs a congestion game")
     oracle = CongestionOracle(game, max_queries=args.budget)
-    # Learning spends at most n * |E| queries.  When the budget covers them,
-    # learning reaches the check, so find out before the first query whether
-    # the check can run; a run its budget stops first still stops there.
-    if args.budget is None or args.budget >= game.players * len(game.network.edges):
+    # Learning spends exactly n * |E'| queries, E' the edges left after
+    # contraction.  When the budget covers them, learning reaches the check,
+    # so find out before the first query whether the check can run; a run
+    # its budget stops first still stops there.
+    reduced, _ = dag.contracted(game.network)
+    if args.budget is None or args.budget >= game.players * len(reduced.edges):
         verify.check_equivalence_cap(game, args.verify_mode)
     learned, cmap = dag.learn_dag_game(oracle)
     tables = learned.as_tables()

@@ -302,6 +302,11 @@ def contract_network(net: Network) -> tuple[Network, ContractionMap]:
     return reduced, ContractionMap(original=net, reduced=reduced, steps=steps)
 
 
+def contracted(net: Network) -> tuple[Network, ContractionMap]:
+    """contract_network(net), worked out once per network and then remembered."""
+    return _remembered(net, "_contraction", contract_network)
+
+
 class ContractedOracle:
     """Query view of the contracted game, simulated on the original oracle."""
 
@@ -606,7 +611,7 @@ def learn_dag_game(oracle) -> tuple[PartialCostFunction, ContractionMap]:
     The learned function is keyed by the reduced network's edges: each
     surviving edge's table carries the costs of the edges it absorbed.
     """
-    _, cmap = contract_network(oracle.network)
+    _, cmap = contracted(oracle.network)
     view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
     return learn_costs(view), cmap
 

@@ -28,8 +28,10 @@ _ONE = Fraction(1)
 
 
 def _unit(value: object, what: str) -> Fraction:
-    f = Fraction(value)  # type: ignore[arg-type]
-    if f < _ZERO or f > _ONE:
+    # An exact Fraction is taken as it is; its denominator is positive, so
+    # the integer test is the same as 0 <= f <= 1.
+    f = value if type(value) is Fraction else Fraction(value)  # type: ignore[arg-type]
+    if not 0 <= f.numerator <= f.denominator:
         raise InvalidSpec(f"{what} must lie in [0, 1], got {f}")
     return f
 
@@ -156,17 +158,19 @@ class GraphicalGame:
             if any(q == p or not 0 <= q < n for q in nbrs):
                 raise InvalidSpec(f"in-neighbors of player {p} out of range")
             table = self.payoff_tables[p]
-            expected = k * k ** len(nbrs)
+            width = len(nbrs)
+            expected = k * k ** width
             if len(table) != expected:
                 raise InvalidSpec(
                     f"player {p} table has {len(table)} entries, expected {expected}"
                 )
+            what = f"player {p} payoff"
             for (own, ctx), v in table.items():
-                if not 0 <= own < k or len(ctx) != len(nbrs):
+                if not 0 <= own < k or len(ctx) != width:
                     raise InvalidSpec(f"player {p} table key ({own}, {ctx}) malformed")
                 if any(not 0 <= s < k for s in ctx):
                     raise InvalidSpec(f"player {p} table key ({own}, {ctx}) malformed")
-                _unit(v, f"player {p} payoff")
+                _unit(v, what)
 
     @property
     def affects_edges(self) -> frozenset[tuple[int, int]]:

@@ -19,6 +19,8 @@ from .games import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The payoff grid of the seeded random games: _SIXTEENTHS[i] == Fraction(i, 16).
+_SIXTEENTHS = tuple(Fraction(i, 16) for i in range(17))
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ def gen_random_graphical(
         table = {}
         for own in range(strategies):
             for ctx in itertools.product(range(strategies), repeat=len(nbrs)):
-                table[(own, ctx)] = Fraction(rng.randint(0, 16), 16)
+                table[(own, ctx)] = _SIXTEENTHS[rng.randint(0, 16)]
         tables.append(table)
     return GraphicalGame(players, strategies, tuple(in_neighbors), tuple(tables))
 
@@ -236,7 +238,7 @@ def gen_random_bimatrix(k: int, seed: int, rows: int | None = None) -> BimatrixG
         raise InvalidSpec("need at least one strategy per player")
     rng = random.Random(seed)
     nrows = rows if rows is not None else k
-    rand = lambda: Fraction(rng.randint(0, 16), 16)  # noqa: E731
+    rand = lambda: _SIXTEENTHS[rng.randint(0, 16)]  # noqa: E731
     row = tuple(tuple(rand() for _ in range(k)) for _ in range(nrows))
     col = tuple(tuple(rand() for _ in range(k)) for _ in range(nrows))
     return BimatrixGame(row, col)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import BudgetExhausted, InvalidProfile, InvalidSpec, LoadOutOfRange
 from .games import (
@@ -27,9 +28,28 @@ from .games import (
 )
 
 
+class _Profile(tuple):
+    """A pure-profile query as recorded: the validated strategies, in order."""
+
+    __slots__ = ()
+
+
+class _Loads(tuple):
+    """A load query as recorded: its (path, count) pairs, sorted by path."""
+
+    __slots__ = ()
+
+
 @dataclass
 class QueryLedger:
-    """Ordered transcript of accepted (query, response) pairs."""
+    """Ordered transcript of accepted (query, response) pairs.
+
+    The log keeps raw, immutable values: a pure-profile query is its
+    strategy tuple and its response the payoffs as returned; a load query is
+    its sorted (path, count) pairs and its response the sorted (path, cost)
+    pairs.  Nothing is formatted until ``dump_jsonl`` or ``entries`` reads
+    the log, so a run that never writes a transcript never formats a value.
+    """
 
     log: list[tuple[Any, Any]] = field(default_factory=list)
 
@@ -40,11 +60,69 @@ class QueryLedger:
     def record(self, query: Any, response: Any) -> None:
         self.log.append((query, response))
 
-    def dump_jsonl(self, fp) -> None:
-        """One JSON object per accepted query, for replay and audit."""
+    def entries(self) -> Iterator[tuple[Any, Any]]:
+        """Each entry in its JSON shape, as ``dump_jsonl`` writes it: a
+        ``{"profile": [...]}`` query answered by a list of payoff strings, or
+        a ``{"loads": [[path, count], ...]}`` query answered by a dict from
+        ``str(list(path))`` to cost strings.  Other entries pass as recorded.
+        """
         for query, response in self.log:
-            fp.write(json.dumps({"query": query, "response": response}, default=str))
-            fp.write("\n")
+            kind = type(query)
+            if kind is _Profile:
+                yield {"profile": list(query)}, [str(v) for v in response]
+            elif kind is _Loads:
+                yield (
+                    {"loads": [[list(p), c] for p, c in query]},
+                    {str(list(p)): str(v) for p, v in response},
+                )
+            else:
+                yield query, response
+
+    def dump_jsonl(self, fp) -> None:
+        """One JSON object per accepted query, for replay and audit.
+
+        Each line equals ``json.dumps({"query": q, "response": r},
+        default=str)`` of the matching ``entries()`` item.  Known entries are
+        written by hand: a value's quoted string is worked out once per
+        object (the log keeps every value alive, so an id names one object
+        for the whole dump) and a path's ``[e1, e2]`` once per path.
+        """
+        quoted: dict[int, str] = {}
+        paths: dict[Path, str] = {}
+
+        def quote(values) -> list[str]:
+            try:
+                return [quoted[id(v)] for v in values]
+            except KeyError:
+                for v in values:
+                    if id(v) not in quoted:
+                        quoted[id(v)] = _encode(str(v))
+                return [quoted[id(v)] for v in values]
+
+        def path_text(path: Path) -> str:
+            text = paths.get(path)
+            if text is None:
+                text = paths[path] = str(list(path))
+            return text
+
+        write = fp.write
+        for query, response in self.log:
+            kind = type(query)
+            if kind is _Profile:
+                write(
+                    f'{{"query": {{"profile": {list(query)}}}, '
+                    f'"response": [{", ".join(quote(response))}]}}\n'
+                )
+            elif kind is _Loads:
+                loads = ", ".join([f"[{path_text(p)}, {c}]" for p, c in query])
+                costs = quote([v for _, v in response])
+                pairs = ", ".join(
+                    [f'"{path_text(p)}": {s}' for (p, _), s in zip(response, costs)]
+                )
+                write(f'{{"query": {{"loads": [{loads}]}}, "response": {{{pairs}}}}}\n')
+            else:
+                write(json.dumps({"query": query, "response": response}, default=str))
+                write("\n")
 
 
 class _Budgeted:
@@ -78,9 +156,9 @@ class _Budgeted:
     def _charge_loads(
         self, assignment: Mapping[Path, int], response: Mapping[Path, Fraction]
     ) -> None:
+        # Snapshots: the caller may mutate either dict after the query.
         self._charge(
-            {"loads": [[list(p), c] for p, c in sorted(assignment.items())]},
-            {str(list(p)): str(v) for p, v in sorted(response.items())},
+            _Loads(sorted(assignment.items())), tuple(sorted(response.items()))
         )
 
 
@@ -119,12 +197,12 @@ class PurePayoffOracle(_Budgeted):
             raise InvalidProfile(
                 f"profile {profile!r} is not {self.players} integer strategies"
             )
-        profile = tuple(profile)
+        profile = _Profile(profile)
         if isinstance(self._game, BimatrixGame):
             response = bimatrix_payoffs(self._game, (profile[0], profile[1]))
         else:
             response = self._game.payoffs(profile)
-        self._charge({"profile": list(profile)}, [str(v) for v in response])
+        self._charge(profile, response)
         return response
 
 

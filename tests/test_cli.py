@@ -513,6 +513,35 @@ class TestSolveAndLearnDag:
         assert "exceed the cap" in capsys.readouterr().err
         assert [oracle.ledger.count for oracle in built] == [0]
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_contracted_dag_too_large_to_check_queries_nothing(
+        self, monkeypatch, capsys, mode
+    ):
+        # Two split edges contract back: learning spends n * |E'| queries,
+        # fewer than n * |E|, and a budget of exactly n * |E'| covers it.
+        from pqlab import cli, dag_learner, oracles
+
+        spec = "random-dag:v=120,e=400,n=2,seed=0,subdivide=2"
+        game = cli.make_game(spec)
+        reduced, _ = dag_learner.contract_network(game.network)
+        learning = game.players * len(reduced.edges)
+        assert learning < game.players * len(game.network.edges)
+        built = []
+
+        class Recorded(oracles.CongestionOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "CongestionOracle", Recorded)
+        argv = ["learn", "dag", "--gen", spec, "--verify-mode", mode]
+        assert main([*argv, "--budget", str(learning)]) == EXIT_INVALID
+        assert "exceed the cap" in capsys.readouterr().err
+        assert [oracle.ledger.count for oracle in built] == [0]
+        assert main([*argv, "--budget", str(learning - 1)]) == EXIT_BUDGET
+        assert f"query budget of {learning - 1} exhausted" in capsys.readouterr().err
+        assert [oracle.ledger.count for oracle in built] == [0, learning - 1]
+
     @pytest.mark.parametrize("command", ["learn", "solve"])
     @pytest.mark.parametrize(
         "spec, queries",

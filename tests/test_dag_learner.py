@@ -793,7 +793,7 @@ class TestOneValidationPerQuery:
         oracle = CongestionOracle(game)
         result = solve_dag_game(oracle)
         assert result.contraction.steps
-        queried = [tuple(p) for query, _ in oracle.ledger.log for p, _ in query["loads"]]
+        queried = [tuple(p) for query, _ in oracle.ledger.entries() for p, _ in query["loads"]]
         first_mappings = set(queried) | set(result.profile)
         assert len(calls) == len(queried) + len(first_mappings) + 1
 

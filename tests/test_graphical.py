@@ -226,7 +226,7 @@ def test_learned_game_agrees_with_every_probe_response():
         except DegreeViolation:
             rejected += 1
             continue
-        for query, response in oracle.ledger.log:
+        for query, response in oracle.ledger.entries():
             payoffs = learned.game.payoffs(query["profile"])
             assert [str(v) for v in payoffs] == response, (n, k, degree, d, seed)
     assert rejected == 159
@@ -248,6 +248,28 @@ def test_fresh_payoff_objects_learn_the_same_game(k, seed):
     fresh = learn_graphical(FreshFractionOracle(game), 5, k, 2)
     assert fresh.affects_edges == shared.affects_edges == game.affects_edges
     assert fresh.game == shared.game == game
+
+
+@pytest.mark.parametrize("k, seed", [(2, 0), (3, 1), (3, 4)])
+def test_fresh_payoff_objects_dump_the_same_transcript(k, seed):
+    # The dump works out each payoff's text once per object; equal payoffs
+    # that are distinct objects must still write the same bytes.
+    game = gen_random_graphical(5, k, 2, seed)
+    fresh_game = GraphicalGame(
+        game.players,
+        game.strategies,
+        game.in_neighbors,
+        tuple(
+            {key: F(v.numerator, v.denominator) for key, v in table.items()}
+            for table in game.payoff_tables
+        ),
+    )
+    oracles = [
+        PurePayoffOracle(game), FreshFractionOracle(game), PurePayoffOracle(fresh_game)
+    ]
+    for oracle in oracles:
+        learn_graphical(oracle, 5, k, 2)
+    assert len({transcript_sha256(oracle) for oracle in oracles}) == 1
 
 
 def one_context_game():

@@ -267,7 +267,7 @@ class TestAdversary:
             oracle.query_loads({(0,): x, (1,): n - x})
         transcript = [
             ({tuple(p): c for p, c in q["loads"]}, r)
-            for q, r in oracle.ledger.log
+            for q, r in oracle.ledger.entries()
         ]
         for location in oracle.completions:
             game = step_link_game(n, location)
@@ -403,7 +403,7 @@ def test_query_is_answered_in_plain_ints_or_refused_uncharged(kind, data):
         assert _marks(oracle) == marks
         return
     # An accepted query has one spelling: every id, strategy and count an int.
-    ((recorded, _),) = oracle.ledger.log
+    ((recorded, _),) = oracle.ledger.entries()
     assert all(type(x) is int for x in _scalars(recorded))
 
 
@@ -429,3 +429,155 @@ def test_second_spellings_and_junk_are_refused_uncharged(kind, query, error):
     with pytest.raises(error):
         (oracle.query_pure if pure else oracle.query_loads)(query)
     assert oracle.ledger.count == 0
+
+
+def dump(oracle) -> str:
+    buf = io.StringIO()
+    oracle.ledger.dump_jsonl(buf)
+    return buf.getvalue()
+
+
+def json_of_entries(ledger) -> str:
+    import json
+
+    return "".join(
+        json.dumps({"query": q, "response": r}, default=str) + "\n"
+        for q, r in ledger.entries()
+    )
+
+
+def diamond_game():
+    """Costs with fractions; the paths are [0, 2], [0, 3], [1, 2] and [1, 3]."""
+    from pqlab import CongestionGame, Network
+
+    net = Network((0, 1, 2), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (1, 2)}, 0, 2)
+    return CongestionGame(net, 3, {
+        0: [F(0), F(1, 3), F(1, 2), F(5, 4)],
+        1: [F(0), F(2), F(2), F(2)],
+        2: [F(0), F(1, 6), F(1, 6), F(1, 6)],
+        3: [F(0)] * 4,
+    })
+
+
+class TestLedgerDump:
+    # Lines as the ledger wrote them when it formatted every entry on record:
+    # the dump of the raw ledger must keep these bytes.
+    def test_bimatrix_line_pinned(self):
+        from pqlab.instances import gen_random_bimatrix
+
+        oracle = PurePayoffOracle(gen_random_bimatrix(3, seed=0))
+        oracle.query_pure((1, 2))
+        assert dump(oracle) == (
+            '{"query": {"profile": [1, 2]}, "response": ["15/16", "1/4"]}\n'
+        )
+
+    def test_graphical_line_pinned(self):
+        oracle = PurePayoffOracle(gen_random_graphical(3, 2, 1, seed=9))
+        oracle.query_pure([1, 0, 1])
+        assert dump(oracle) == (
+            '{"query": {"profile": [1, 0, 1]}, "response": ["0", "5/8", "13/16"]}\n'
+        )
+
+    def test_adversary_lines_pinned(self):
+        oracle = AdversaryLinkOracle(8)
+        oracle.query_loads({(1,): 5, (0,): 3})
+        oracle.query_loads({(1,): 8})
+        assert dump(oracle) == (
+            '{"query": {"loads": [[[0], 3], [[1], 5]]}, '
+            '"response": {"[0]": "0", "[1]": "1"}}\n'
+            '{"query": {"loads": [[[1], 8]]}, "response": {"[1]": "1"}}\n'
+        )
+
+    def test_congestion_lines_pinned(self):
+        oracle = CongestionOracle(diamond_game())
+        oracle.query_loads({(1, 3): 1, (0, 2): 2})
+        oracle.query_loads({})
+        assert dump(oracle) == (
+            '{"query": {"loads": [[[0, 2], 2], [[1, 3], 1]]}, '
+            '"response": {"[0, 2]": "2/3", "[1, 3]": "2"}}\n'
+            '{"query": {"loads": []}, "response": {}}\n'
+        )
+
+    def test_contracted_dag_line_pinned(self):
+        from pqlab import CongestionGame, Network
+        from pqlab.dag_learner import ContractedOracle, contract_network
+
+        # Edge 1 only ever follows edge 0, so it contracts into it; the
+        # transcript names the original paths.
+        net = Network((0, 1, 2, 3), {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (2, 3)}, 0, 3)
+        game = CongestionGame(net, 2, {
+            0: [F(0), F(1, 2), F(1)],
+            1: [F(0), F(1, 4), F(3, 4)],
+            2: [F(0), F(1), F(2)],
+            3: [F(0), F(3, 2), F(3, 2)],
+        })
+        inner = CongestionOracle(game)
+        oracle = ContractedOracle(inner, contract_network(net)[1])
+        assert oracle.query_loads({(0, 2): 1, (0, 3): 1}) == {
+            (0, 2): F(11, 4), (0, 3): F(13, 4)
+        }
+        assert dump(inner) == (
+            '{"query": {"loads": [[[0, 1, 2], 1], [[0, 1, 3], 1]]}, '
+            '"response": {"[0, 1, 2]": "11/4", "[0, 1, 3]": "13/4"}}\n'
+        )
+
+    def test_a_load_query_is_recorded_as_it_was_asked_and_answered(self):
+        oracle = CongestionOracle(diamond_game())
+        assignment = {(0, 2): 2, (1, 3): 1}
+        response = oracle.query_loads(assignment)
+        before = dump(oracle)
+        assignment[(0, 2)] = 0
+        assignment[(1, 2)] = 3
+        response[(0, 2)] = F(7)
+        del response[(1, 3)]
+        assert dump(oracle) == before
+        assert list(oracle.ledger.entries()) == [
+            ({"loads": [[[0, 2], 2], [[1, 3], 1]]}, {"[0, 2]": "2/3", "[1, 3]": "2"})
+        ]
+
+    def test_a_profile_list_is_recorded_as_it_was_asked(self):
+        oracle = PurePayoffOracle(gen_matching_pennies(2))
+        profile = [0, 1]
+        oracle.query_pure(profile)
+        profile[0] = 1
+        assert list(oracle.ledger.entries()) == [({"profile": [0, 1]}, ["0", "1"])]
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_dump_is_the_json_of_the_entries(self, kind):
+        rng = random.Random(kind)
+        oracle = ORACLES[kind]()
+        for _ in range(40):
+            if isinstance(oracle, PurePayoffOracle):
+                oracle.query_pure([rng.randrange(k) for k in oracle.strategy_counts])
+            else:
+                paths = enumerate_paths(oracle.network)
+                chosen = rng.sample(paths, rng.randint(0, len(paths)))
+                oracle.query_loads({p: rng.randint(0, oracle.players) for p in chosen})
+        assert oracle.ledger.count == 40
+        assert dump(oracle) == json_of_entries(oracle.ledger)
+
+    def test_payoffs_of_other_types_dump_as_their_str(self):
+        # A table may hold any value _unit accepts; the transcript writes
+        # str(value) as json.dumps quotes it, escapes included.
+        tables = ({(0, ()): 1, (1, ()): F(1, 2), (2, ()): "\t1/3"},)
+        oracle = PurePayoffOracle(GraphicalGame(1, 3, ((),), tables))
+        for s in (0, 1, 2, 2):
+            oracle.query_pure((s,))
+        assert dump(oracle) == json_of_entries(oracle.ledger)
+        assert dump(oracle).splitlines()[2] == (
+            '{"query": {"profile": [2]}, "response": ["\\t1/3"]}'
+        )
+
+    def test_an_entry_of_another_shape_dumps_through_json(self):
+        from pqlab import QueryLedger
+
+        ledger = QueryLedger()
+        ledger.record("q", {"r": F(1, 2)})
+        ledger.record([1, 2], None)
+        assert list(ledger.entries()) == ledger.log
+        buf = io.StringIO()
+        ledger.dump_jsonl(buf)
+        assert buf.getvalue() == json_of_entries(ledger) == (
+            '{"query": "q", "response": {"r": "1/2"}}\n'
+            '{"query": [1, 2], "response": null}\n'
+        )
