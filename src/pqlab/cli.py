@@ -95,23 +95,36 @@ def make_game(spec: str):
     return build(*(given.get(key, default) for key, default in params.items()))
 
 
-def _load_or_gen(args):
-    if getattr(args, "game", None):
+# What each command target takes, and how a refusal names it.
+_TAKES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "bimatrix": (lambda g: isinstance(g, BimatrixGame), "a bimatrix game"),
+    "parallel-links": (
+        lambda g: isinstance(g, CongestionGame) and g.network.is_parallel_links,
+        "a parallel-links game",
+    ),
+    "dag": (lambda g: isinstance(g, CongestionGame), "a congestion game"),
+    "graphical": (lambda g: isinstance(g, GraphicalGame), "a graphical game"),
+}
+
+
+def _load_game(args):
+    """The --game or --gen game, refused unless the command takes its kind."""
+    if args.game:
         with open(args.game) as fp:
-            return serialize.load_game(fp)
-    if getattr(args, "gen", None):
-        return make_game(_with_seed(args))
-    raise InvalidSpec("provide --game FILE or --gen SPEC")
-
-
-def _with_seed(args) -> str:
-    """Fold a standalone --seed flag into the generator spec."""
-    spec = args.gen
-    if getattr(args, "seed", None) is not None:
-        family, params = _parse_gen_spec(spec)
-        params["seed"] = args.seed
-        spec = family + ":" + ",".join(f"{k}={v}" for k, v in params.items())
-    return spec
+            game = serialize.load_game(fp)
+    elif args.gen:
+        spec = args.gen
+        if args.seed is not None:  # fold a standalone --seed into the spec
+            family, params = _parse_gen_spec(spec)
+            params["seed"] = args.seed
+            spec = family + ":" + ",".join(f"{k}={v}" for k, v in params.items())
+        game = make_game(spec)
+    else:
+        raise InvalidSpec("provide --game FILE or --gen SPEC")
+    fits, kind = _TAKES[args.target]
+    if not fits(game):
+        raise InvalidSpec(f"{args.command} {args.target} needs {kind}")
+    return game
 
 
 def _emit(args, payload: dict) -> None:
@@ -123,6 +136,12 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _finish(args, payload: dict, passed: str = "verified") -> int:
+    """Emit the payload; exit 0 if its check passed, else 2."""
+    _emit(args, payload)
+    return EXIT_OK if payload[passed] else EXIT_VERIFY_FAILED
+
+
 def _cmd_gen(args) -> int:
     game = make_game(args.spec)
     _emit(args, serialize.game_to_dict(game))
@@ -130,9 +149,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve_bimatrix(args) -> int:
-    game = _load_or_gen(args)
-    if not isinstance(game, BimatrixGame):
-        raise InvalidSpec("solve bimatrix needs a bimatrix game")
+    game = _load_game(args)
     if args.algo == "half-ne":
         oracle = PurePayoffOracle(game, max_queries=args.budget)
         result = bm.half_approx_ne(oracle)
@@ -143,6 +160,7 @@ def _cmd_solve_bimatrix(args) -> int:
             "trace": list(result.trace),
             "queries_used": result.queries_used,
         }
+        bound = Fraction(1, 2)
     else:
         profile = MixedProfile.uniform(game.rows, game.cols)
         payload = {
@@ -150,63 +168,55 @@ def _cmd_solve_bimatrix(args) -> int:
             "profile": serialize.profile_to_dict(profile),
             "queries_used": 0,
         }
+        bound = 1 - Fraction(1, max(game.rows, game.cols))
     eps = regret(game, profile)
     payload["regret"] = str(eps)
-    if args.algo == "half-ne":
-        bound = Fraction(1, 2)
-    else:
-        bound = 1 - Fraction(1, max(game.rows, game.cols))
     payload["verified"] = eps <= bound
-    _emit(args, payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
+    return _finish(args, payload)
 
 
 def _cmd_solve_parallel_links(args) -> int:
-    extra = {}
-    if args.adversary:
-        # A game given beside --players is still checked, never ignored.
-        players = args.players
-        if args.game or args.gen:
-            game = _links_game(args)
-            players = game.players if players is None else players
-        elif players is None:
-            raise InvalidSpec("--adversary needs --players or a --gen spec with n=")
-        oracle = AdversaryLinkOracle(players, max_queries=args.budget)
-        result = parallel_links.solve_parallel_links(oracle, args.kf)
-        completions = list(oracle.completions)
-        extra["consistent_step_locations"] = completions
-        # One consistent step location c leaves one equilibrium, (c, n - c).
-        verified = len(completions) == 1 and _links_verified(
-            oracle.committed_game(), result.loads.loads
-        )
-    else:
-        game = _links_game(args)
+    game = _load_game(args) if args.game or args.gen or not args.adversary else None
+    if not args.adversary:
         oracle = CongestionOracle(game, max_queries=args.budget)
-        result = parallel_links.solve_parallel_links(oracle, args.kf)
-        verified = _links_verified(game, result.loads.loads)
+    elif args.players is None and game is None:
+        raise InvalidSpec("--adversary needs --players or a --gen spec with n=")
+    else:
+        # A game given beside --players is still checked, never ignored.
+        players = game.players if args.players is None else args.players
+        oracle = AdversaryLinkOracle(players, max_queries=args.budget)
+    payload = run_solve_parallel_links(game, oracle, args.kf, args.emit_trace)
+    return _finish(args, payload)
+
+
+def run_solve_parallel_links(
+    game: CongestionGame | None, oracle, kf: int | None = None, emit_trace: bool = False
+) -> dict:
+    """`solve parallel-links` on an oracle of game: solve, check, payload.
+    An adversary is checked against the game it commits to, not against game."""
+    result = parallel_links.solve_parallel_links(oracle, kf)
+    loads = result.loads.loads
     payload = {
-        "loads": list(result.loads.loads),
+        "loads": list(loads),
         "special_link": result.loads.special,
         "queries_used": result.queries_used,
         "query_bound": result.query_bound,
-        **extra,
-        "verified": verified,
     }
-    if args.emit_trace:
+    if isinstance(oracle, AdversaryLinkOracle):
+        completions = payload["consistent_step_locations"] = list(oracle.completions)
+        # One consistent step location c leaves one equilibrium, (c, n - c).
+        payload["verified"] = len(completions) == 1 and _links_verified(
+            oracle.committed_game(), loads
+        )
+    else:
+        payload["verified"] = _links_verified(game, loads)
+    if emit_trace:
         payload["phases"] = [
             {"delta": t.delta, "moved_groups": t.moved_groups,
              "removed": list(t.removed), "added": list(t.added)}
             for t in result.traces
         ]
-    _emit(args, payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
-
-
-def _links_game(args) -> CongestionGame:
-    game = _load_or_gen(args)
-    if not (isinstance(game, CongestionGame) and game.network.is_parallel_links):
-        raise InvalidSpec("solve parallel-links needs a parallel-links game")
-    return game
+    return payload
 
 
 def _links_verified(game: CongestionGame, loads) -> bool:
@@ -227,13 +237,16 @@ def _solver_report(game: CongestionGame, profile) -> verify.DeviationReport | No
 
 
 def _cmd_solve_dag(args) -> int:
-    game = _load_or_gen(args)
-    if not isinstance(game, CongestionGame):
-        raise InvalidSpec("solve dag needs a congestion game")
+    game = _load_game(args)
     oracle = CongestionOracle(game, max_queries=args.budget)
+    return _finish(args, run_solve_dag(game, oracle))
+
+
+def run_solve_dag(game: CongestionGame, oracle) -> dict:
+    """`solve dag` on an oracle of game: solve, check, payload."""
     result = dag.solve_dag_game(oracle)
     report = _solver_report(game, result.profile)
-    payload = {
+    return {
         "profile": serialize.profile_to_dict(result.profile),
         "queries_used": result.queries_used,
         "contracted_edges": {
@@ -242,32 +255,27 @@ def _cmd_solve_dag(args) -> int:
         "verified": report is not None and report.is_equilibrium,
         "worst_improvement": None if report is None else str(report.improvement),
     }
-    _emit(args, payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_learn_graphical(args) -> int:
-    game = _load_or_gen(args)
-    if not isinstance(game, GraphicalGame):
-        raise InvalidSpec("learn graphical needs a graphical game")
+    game = _load_game(args)
     oracle = PurePayoffOracle(game, max_queries=args.budget)
-    learned = gg.learn_graphical(
-        oracle, game.players, game.strategies, args.degree
-    )
-    payload = {
+    return _finish(args, run_learn_graphical(game, oracle, args.degree))
+
+
+def run_learn_graphical(game: GraphicalGame, oracle, degree: int) -> dict:
+    """`learn graphical` on an oracle of game: learn, compare, payload."""
+    learned = gg.learn_graphical(oracle, game.players, game.strategies, degree)
+    return {
         "learned_game": serialize.game_to_dict(learned.game),
         "affects_edges": sorted(map(list, learned.affects_edges)),
         "queries_used": learned.queries_used,
         "verified": learned.game == game,
     }
-    _emit(args, payload)
-    return EXIT_OK if payload["verified"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_learn_dag(args) -> int:
-    game = _load_or_gen(args)
-    if not isinstance(game, CongestionGame):
-        raise InvalidSpec("learn dag needs a congestion game")
+    game = _load_game(args)
     oracle = CongestionOracle(game, max_queries=args.budget)
     # Learning spends exactly n * |E'| queries, E' the edges left after
     # contraction.  When the budget covers them, learning reaches the check,
@@ -295,8 +303,7 @@ def _cmd_learn_dag(args) -> int:
             "got": str(counterexample["got"]),
             "want": str(counterexample["want"]),
         }
-    _emit(args, payload)
-    return EXIT_OK if equivalent else EXIT_VERIFY_FAILED
+    return _finish(args, payload)
 
 
 def _cmd_verify(args) -> int:
@@ -316,7 +323,6 @@ def _cmd_verify(args) -> int:
                 list(report.worst_alternative) if report.worst_alternative else None
             ),
         }
-        ok = report.is_equilibrium
     elif isinstance(game, BimatrixGame):
         if isinstance(profile, tuple):
             if len(profile) != 2:
@@ -328,18 +334,16 @@ def _cmd_verify(args) -> int:
             raise InvalidProfile("a bimatrix game needs a pure or mixed profile")
         eps = regret(game, profile)
         payload = {"regret": str(eps), "is_equilibrium": eps == 0}
-        ok = eps == 0
     else:
         if not isinstance(profile, tuple):
             raise InvalidProfile("a graphical game needs a pure profile")
         worst = verify.graphical_improvement(game, profile)
         payload = {"improvement": str(worst), "is_equilibrium": worst == 0}
-        ok = worst == 0
-    _emit(args, payload)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _finish(args, payload, "is_equilibrium")
 
 
 def _cmd_bench(args) -> int:
+    """One CSV row per grid cell, from the payload of the matching command."""
     low, high = {
         "parallel-links": (args.n_min_exp, args.n_max_exp),
         "dag": (args.players_min, args.players_max),
@@ -347,65 +351,33 @@ def _cmd_bench(args) -> int:
     if low > high:
         raise InvalidSpec(f"empty grid: the minimum {low} is above the maximum {high}")
     rows, verdicts = [], []
-    if args.family == "parallel-links":
-        for exp in range(args.n_min_exp, args.n_max_exp + 1):
-            n = 2**exp
+    for size in range(low, high + 1):
+        if args.family == "parallel-links":
+            n = 2**size
             game = instances.gen_random_step_links(args.m, n, args.seed)
-            oracle = CongestionOracle(game)
             t0 = time.monotonic()
-            result = parallel_links.solve_parallel_links(oracle, args.kf)
-            rows.append(
-                {
-                    "m": args.m,
-                    "n": n,
-                    "queries_used": result.queries_used,
-                    "bound": result.query_bound,
-                    "total_values": args.m * n,
-                    "fraction": result.queries_used / (args.m * n),
-                    "seconds": round(time.monotonic() - t0, 4),
-                }
-            )
-            verdicts.append(_links_verified(game, result.loads.loads))
-    elif args.family == "dag":
-        for n in range(args.players_min, args.players_max + 1):
-            game = instances.gen_random_dag(args.v, args.e, n, args.seed)
-            oracle = CongestionOracle(game)
+            payload = run_solve_parallel_links(game, CongestionOracle(game), args.kf)
+            head, bound = {"m": args.m, "n": n}, payload["query_bound"]
+            total_key, total = "total_values", args.m * n
+        elif args.family == "dag":
+            game = instances.gen_random_dag(args.v, args.e, size, args.seed)
             t0 = time.monotonic()
-            result = dag.solve_dag_game(oracle)
-            edges = len(result.contraction.reduced.edges)
-            total = verify.path_count(game) ** n
-            rows.append(
-                {
-                    "edges": edges,
-                    "n": n,
-                    "queries_used": result.queries_used,
-                    "bound": edges * n,
-                    "total_profiles": total,
-                    "fraction": result.queries_used / total if total else 0,
-                    "seconds": round(time.monotonic() - t0, 4),
-                }
-            )
-            report = _solver_report(game, result.profile)
-            verdicts.append(report is not None and report.is_equilibrium)
-    else:
-        n, k, d = args.players_max, args.k, args.d
-        game = instances.gen_random_graphical(n, k, d, args.seed)
-        oracle = PurePayoffOracle(game)
-        t0 = time.monotonic()
-        learned = gg.learn_graphical(oracle, n, k, d)
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "d": d,
-                "queries_used": learned.queries_used,
-                "bound": gg.probe_set_size(n, k, d),
-                "total_profiles": k**n,
-                "fraction": learned.queries_used / k**n,
-                "seconds": round(time.monotonic() - t0, 4),
-            }
-        )
-        verdicts.append(learned.game == game)
+            payload = run_solve_dag(game, CongestionOracle(game))
+            edges = len(dag.contracted(game.network)[0].edges)
+            head, bound = {"edges": edges, "n": size}, edges * size
+            total_key, total = "total_profiles", verify.path_count(game) ** size
+        else:
+            n, k, d = args.players_max, args.k, args.d
+            game = instances.gen_random_graphical(n, k, d, args.seed)
+            t0 = time.monotonic()
+            payload = run_learn_graphical(game, PurePayoffOracle(game), d)
+            head, bound = {"n": n, "k": k, "d": d}, gg.probe_set_size(n, k, d)
+            total_key, total = "total_profiles", k**n
+        used = payload["queries_used"]
+        rows.append({**head, "queries_used": used, "bound": bound, total_key: total,
+                     "fraction": used / total if total else 0,
+                     "seconds": round(time.monotonic() - t0, 4)})
+        verdicts.append(payload["verified"])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
@@ -495,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_io(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--game", help="game JSON file")
-    sub.add_argument("--gen", help="generator spec, e.g. random:k=10,seed=7")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--game", help="game JSON file")
+    source.add_argument("--gen", help="generator spec, e.g. random:k=10,seed=7")
     sub.add_argument("--seed", type=int, default=None, help="seed for --gen")
     sub.add_argument("--budget", type=int, default=None, help="max oracle queries")
     sub.add_argument("--out", help="write result JSON here instead of stdout")
@@ -505,6 +478,12 @@ def _common_io(sub: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Refuse flags the command would ignore, before anything is queried.
+    if "gen" in args and args.seed is not None and not args.gen:
+        other = "with argument --game" if args.game else "without argument --gen"
+        parser.error(f"argument --seed: not allowed {other}")
+    if getattr(args, "players", None) is not None and not args.adversary:
+        parser.error("argument --players: not allowed without argument --adversary")
     try:
         return args.func(args)
     except BudgetExhausted as exc:

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidProfile, InvalidSpec, TooLarge
 from .games import (
@@ -198,16 +198,16 @@ def path_count(game: CongestionGame) -> int:
     return ways[net.destination]
 
 
-def _check_cap(count: int, what: str, cap: int | None = None) -> None:
-    limit = cap if cap is not None else _cap()
+def _check_cap(count: int, what: str) -> None:
+    limit = _cap()
     if count > limit:
         raise TooLarge(f"{count} {what} exceed the cap of {limit}")
 
 
-def _check_profile_cap(game: CongestionGame, cap: int | None = None) -> None:
+def _check_profile_cap(game: CongestionGame) -> None:
     n, paths = game.players, path_count(game)
     count = math.comb(paths + n - 1, n)
-    _check_cap(count, f"anonymous profiles ({paths} paths, {n} players)", cap)
+    _check_cap(count, f"anonymous profiles ({paths} paths, {n} players)")
 
 
 def check_equivalence_cap(game: CongestionGame, mode: str = "exhaustive") -> None:
@@ -223,25 +223,20 @@ def check_equivalence_cap(game: CongestionGame, mode: str = "exhaustive") -> Non
         raise InvalidSpec(f"unknown mode {mode!r}")
 
 
-def all_profiles(game: CongestionGame, cap: int | None = None) -> list[dict[Path, int]]:
-    """Every anonymous profile (multiset of n paths); guarded by the cap,
-    which is checked before any path is listed."""
-    _check_profile_cap(game, cap)
-    return [
-        dict(Counter(combo))
-        for combo in itertools.combinations_with_replacement(
-            enumerate_paths(game), game.players
-        )
-    ]
+def all_profiles(game: CongestionGame) -> Iterator[dict[Path, int]]:
+    """Every anonymous profile (multiset of n paths), one at a time; the cap
+    is checked when this is called, before any path is listed."""
+    _check_profile_cap(game)
+    paths = enumerate_paths(game)
+    combos = itertools.combinations_with_replacement(paths, game.players)
+    return (dict(Counter(combo)) for combo in combos)
 
 
-def brute_force_pure_ne(
-    game: CongestionGame, cap: int | None = None
-) -> list[dict[Path, int]]:
+def brute_force_pure_ne(game: CongestionGame) -> list[dict[Path, int]]:
     """All pure Nash equilibria by exhaustive enumeration and deviation checks."""
     return [
         profile
-        for profile in all_profiles(game, cap)
+        for profile in all_profiles(game)
         if deviation_report(game, profile).is_equilibrium
     ]
 
@@ -287,16 +282,16 @@ def check_equivalence(
     foreign = [e for e in learned if e not in game.network.edges]
     if foreign:
         raise InvalidSpec(f"learned tables name edges the game lacks: {foreign}")
-    check_equivalence_cap(game, mode)
-    paths = enumerate_paths(game)
     if mode == "exhaustive":
-        combos = itertools.combinations_with_replacement(paths, game.players)
+        profiles = all_profiles(game)
     else:
+        check_equivalence_cap(game, mode)
+        paths = enumerate_paths(game)
         rng = random.Random(_SAMPLE_SEED)
         combos = (rng.choices(paths, k=game.players) for _ in range(_SAMPLES))
+        profiles = (dict(Counter(combo)) for combo in combos)
 
-    for combo in combos:
-        profile = dict(Counter(combo))
+    for profile in profiles:
         loads = edge_loads(game, profile)
         for path, count in profile.items():
             if count == 0:

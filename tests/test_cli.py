@@ -1,8 +1,11 @@
 """Command-line behaviour: exit codes, artifacts, determinism."""
 
+import contextlib
 import copy
+import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -267,10 +270,30 @@ class TestUsageErrors:
             (["solve"], "the following arguments are required: target"),
             (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
             (["bench", "nope"], "argument family: invalid choice: 'nope'"),
+            (["solve", "dag", "--game", "game.json", "--gen", "random-dag:n=2,seed=0"],
+             "argument --gen: not allowed with argument --game"),
+            (["solve", "dag", "--game", "game.json", "--seed", "3"],
+             "argument --seed: not allowed with argument --game"),
+            (["solve", "parallel-links", "--adversary", "--players", "8",
+              "--seed", "3"],
+             "argument --seed: not allowed without argument --gen"),
+            (["solve", "parallel-links", "--gen", "step:m=2,n=16,seed=1",
+              "--players", "8"],
+             "argument --players: not allowed without argument --adversary"),
         ],
-        ids=["budget", "no-target", "command", "bench-family"],
+        ids=["budget", "no-target", "command", "bench-family", "game-and-gen",
+             "seed-with-game", "seed-without-gen", "players-without-adversary"],
     )
-    def test_usage_error_exits_4_with_argparse_message(self, capsys, argv, message):
+    def test_usage_error_exits_4_with_argparse_message(
+        self, monkeypatch, capsys, argv, message
+    ):
+        from pqlab import cli
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("a usage error must be refused before any query")
+
+        for name in ("CongestionOracle", "PurePayoffOracle", "AdversaryLinkOracle"):
+            monkeypatch.setattr(cli, name, no_oracle)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INVALID
@@ -1092,6 +1115,62 @@ class TestBench:
         assert rows[0]["queries_used"] == "22"  # 1 + 6 + 15
         assert rows[0]["total_profiles"] == "64"
 
+    # Each bench grid and the command line of the matching command, per row.
+    AGREEMENT = [
+        ("dag --v 5 --e 7 --players-min 1 --players-max 3 --seed 2",
+         "solve dag --gen random-dag:v=5,e=7,n={n},seed=2"),
+        ("parallel-links --m 4 --n-min-exp 4 --n-max-exp 6 --seed 1",
+         "solve parallel-links --gen step:m=4,n={n},seed=1"),
+        ("graphical --players-max 6 --k 2 --d 1 --seed 0",
+         "learn graphical --degree 1 --gen random-graphical:n={n},k=2,d=1,seed=0"),
+    ]
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["solved", "dropping"])
+    @pytest.mark.parametrize(
+        "grid, command", AGREEMENT, ids=["dag", "parallel-links", "graphical"]
+    )
+    def test_rows_agree_with_the_commands(
+        self, tmp_path, monkeypatch, grid, command, drop
+    ):
+        from pqlab import dag_learner
+
+        if drop:
+            # Drop a player from the 2-player DAG and the 32-player links.
+            solve_dag, solve_links = (
+                dag_learner.solve_dag_game, parallel_links.solve_parallel_links
+            )
+
+            def dropping_dag(oracle):
+                result = solve_dag(oracle)
+                if oracle.players == 2:
+                    result.profile[max(result.profile, key=result.profile.get)] -= 1
+                return result
+
+            def dropping_links(oracle, group_factor=None):
+                result = solve_links(oracle, group_factor)
+                if oracle.players != 32:
+                    return result
+                loads = list(result.loads.loads)
+                loads[loads.index(max(loads))] -= 1
+                return dataclasses.replace(
+                    result, loads=LinkLoads(tuple(loads), result.loads.special)
+                )
+
+            monkeypatch.setattr(dag_learner, "solve_dag_game", dropping_dag)
+            monkeypatch.setattr(parallel_links, "solve_parallel_links", dropping_links)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", *grid.split(), "--out", str(out)])
+        with open(out) as fp:
+            rows = list(csv.DictReader(fp))
+        assert len(rows) == (1 if grid.startswith("graphical") else 3)
+        verdicts = []
+        for row in rows:
+            _, payload = run(tmp_path, *command.format(n=row["n"]).split())
+            assert int(row["queries_used"]) == payload["queries_used"]
+            verdicts.append(payload["verified"])
+        assert code == (EXIT_OK if all(verdicts) else EXIT_VERIFY_FAILED)
+        assert all(verdicts) == (not drop or grid.startswith("graphical"))
+
 
 class TestSeedFlag:
     def test_standalone_seed_equivalent_to_inline(self, tmp_path):
@@ -1128,3 +1207,187 @@ class TestSeedFlag:
         argv = ["solve", "parallel-links", "--adversary", "--gen", "nonsense:n=8,sead=1"]
         assert main(argv) == EXIT_INVALID
         assert '"verified"' not in capsys.readouterr().out
+
+
+# A seeded grid of every command: each command line, its exit code and the
+# sha256 of its stdout and stderr, with bench rows read without `seconds`.
+# {links}, {dag}, {pennies}, {pure} and {congestion} name files the test
+# writes first.
+CLI_GRID = [
+    ("gen pennies:k=3", EXIT_OK,
+     "0268e6f6bcb479ae1057a6a81a55c94079d5c50c3dacfdcbadb84c9596b5ec26"),
+    ("gen gell:ell=4", EXIT_OK,
+     "25c881a0943e94d657d35d00cb6008af28fe1714bc3fef4b49f0fe4f6603f07d"),
+    ("gen rell:k=3", EXIT_OK,
+     "710f64889b15f9a50788486c260db73096f4a4fea6913fa0c50df22d5268a4ab"),
+    ("gen random:k=3,seed=2", EXIT_OK,
+     "3cb93b9ee243d746a466323e21951ca80392805c71c745b43bebd11c87798bea"),
+    ("gen random-graphical:n=3,k=2,d=1,seed=0", EXIT_OK,
+     "137b3ea9ab6219a2ae543b0d9ed7bdb4459c04cf1104fd0720307365d3e76d0f"),
+    ("gen step:m=2,n=16,seed=1", EXIT_OK,
+     "078a00a0bdae964cc1ee3c35efc20c1182120a2debf9fcd0757dd8261c371499"),
+    ("gen random-dag:v=6,e=9,n=3,seed=5,subdivide=1", EXIT_OK,
+     "0e845f1b28a9d7354fef83ddef3746f857006c31697465f47c59fb43b286da14"),
+    ("gen nonsense:k=2", EXIT_INVALID,
+     "14801f6ae67162ef5f49cfc567790b899752dd1723dee6bfe92a9ffc23e25c18"),
+    ("gen step:m=2,n=4,sead=5", EXIT_INVALID,
+     "c0c6a935bdabf3d8b16a4e43f35da74a47446e532cc49f01dbab6c6e5963756b"),
+    ("solve bimatrix --gen random:k=10,seed=7", EXIT_OK,
+     "e9e7a3b24a3b491d093681300f1fe10901141c485bce780094d03e3dd3b99d1b"),
+    ("solve bimatrix --algo half-ne --gen gell:ell=6", EXIT_OK,
+     "12b96a99966cc8d5285bf7ad5a5e2c3a77c1df6c0904a63e550c24abbcd5b8eb"),
+    ("solve bimatrix --algo uniform --gen random:k=4,seed=1", EXIT_OK,
+     "593b47550ef2c9fa56e7591dfb6c7aa1f8a020da3b79d3c93ba8b60d60893770"),
+    ("solve bimatrix --algo uniform --gen rell:k=3", EXIT_OK,
+     "5886a58a7435d2c3a78134560ed00252f4af804d709474f0a40377b203f58404"),
+    ("solve bimatrix --gen random:k=4 --seed 3", EXIT_OK,
+     "97699ff6b7d7f52b9607a21d3285d44bc2d8657dfd016e57757337c5278d233b"),
+    ("solve bimatrix --game {pennies}", EXIT_OK,
+     "725ccd722e5bf16fa66472bbf10799233d6ffeaac7a752fa54361b2a54253314"),
+    ("solve bimatrix --gen random:k=10,seed=7 --budget 5", EXIT_BUDGET,
+     "f3881bf6091c4c33550d9f19af5aef910f387dde7d26aca5447ac88bfd7f99a2"),
+    ("solve bimatrix --gen step:n=4", EXIT_INVALID,
+     "f62d5cde57e2f79e4330bfff27cf2f9cdf62bc8161922a052084106018656c74"),
+    ("solve bimatrix --gen pennies:k=2 --budget -1", EXIT_INVALID,
+     "6743f4af83758e824f052af4044c3d358c4d77ae8fc8b9603fdca3cc1378540c"),
+    ("solve parallel-links --gen step:m=4,n=50,seed=2", EXIT_OK,
+     "cde41ae1cec2f7f7d1dd252903eb8a6302175ecac2c10fa3aca261dad6f7c174"),
+    ("solve parallel-links --gen step:m=4,n=50,seed=2 --emit-trace", EXIT_OK,
+     "2f0dc0f2bdaa7f444563913288783ef94e8664969da10836ffec1dd7f9955810"),
+    ("solve parallel-links --gen step:m=8,n=1000,seed=3 --kf 2", EXIT_OK,
+     "e4c420907f8fe6d93d526cbce354df6d9919d58c971f173fb155318e13538256"),
+    ("solve parallel-links --gen step:m=3,n=40 --seed 1", EXIT_OK,
+     "21edb04539640bb2385a74670ec14be96591c3d6a3cc354dd706d5ad856be133"),
+    ("solve parallel-links --game {links} --emit-trace", EXIT_OK,
+     "887531f897513ec82b43614ba3cd7594a4b2e42c08f561d45d6ffc562e9f3bde"),
+    ("solve parallel-links --gen step:m=8,n=1000,seed=3 --budget 5", EXIT_BUDGET,
+     "f3881bf6091c4c33550d9f19af5aef910f387dde7d26aca5447ac88bfd7f99a2"),
+    ("solve parallel-links --adversary --players 1024", EXIT_OK,
+     "c4eaa9f747c353a12d63a38c85579d72a972b2e0fa7e14a30b1e7cba2f870898"),
+    ("solve parallel-links --adversary --players 64 --emit-trace", EXIT_OK,
+     "19110faa122b54f32b41aaa1ce754865ac508ec049bd3df7dee368341c714dbe"),
+    ("solve parallel-links --adversary --gen step:m=2,n=1024", EXIT_OK,
+     "c4eaa9f747c353a12d63a38c85579d72a972b2e0fa7e14a30b1e7cba2f870898"),
+    ("solve parallel-links --adversary --game {links}", EXIT_OK,
+     "16c3af673c0d777758c0986d24ccb12b64bf9dff1e902ede68a9c1cbbeb66b25"),
+    ("solve parallel-links --adversary --players 64 --gen step:m=2,n=16,seed=1",
+     EXIT_OK, "87167a7c1f1a1678fdbc9bc46de7702485f99f28268f4102d4ea6a5c686defd9"),
+    ("solve parallel-links --adversary --players 1024 --budget 3", EXIT_BUDGET,
+     "ee8937109b28390ba65a8d32ec3bcf8c481c19696ce5d7658ecbe15182a17b8d"),
+    ("solve parallel-links --adversary", EXIT_INVALID,
+     "e2d9e0b88f8bb77937761e9ba19ce57cf045a4b2945e28a054776ca02de9c20c"),
+    ("solve parallel-links --adversary --players 0", EXIT_INVALID,
+     "1cce033d91ce326fa076ac9fc4669f38cbd789df795af19c04bb4afe4b594b0e"),
+    ("solve parallel-links --gen random-dag:n=2,seed=0", EXIT_INVALID,
+     "9a5c7256978f582151f291b72f7e0bf0a1dfebfb955f5aa79d0da659746cda2c"),
+    ("solve parallel-links --gen step:m=2,n=9223372036854775807,seed=0", EXIT_INVALID,
+     "572d9609571297e7a750d20afb60979d8b7cfa53e8306037411b05f176c840d4"),
+    ("solve dag --gen random-dag:v=6,e=9,n=2,seed=4", EXIT_OK,
+     "ba2c17d42ee204117343dd11670a3b6874740274d3d3dbeb5c7cabb592112b9a"),
+    ("solve dag --gen random-dag:v=6,e=9,n=2,seed=0,subdivide=2", EXIT_OK,
+     "9e616dd1655b09c3d4cbbff927093d13c9f7131f7c3d014678b2f588f8c31ab2"),
+    ("solve dag --gen random-dag:v=6,e=9,n=3 --seed 5", EXIT_OK,
+     "df86a9119d726dba876e690aaf0100f68d29d323c7f2d5d8195f8bd0c25fb5ea"),
+    ("solve dag --gen random-dag:v=10,e=20,n=3,seed=191", EXIT_OK,
+     "f2b4864e17b03f9670bc4fbfd11255c0386da7db9860b16ea515ad13cb29e309"),
+    ("solve dag --gen step:m=3,n=5,seed=1", EXIT_OK,
+     "864a73f03ce8e2fce3353cb58c7d99a44fc05cc4d4f2afd62e5c7fceb70c7c00"),
+    ("solve dag --game {dag}", EXIT_OK,
+     "96945061762dd6f6497c32812374ce8f3f13665b0b3ee89916b41372be6f544a"),
+    ("solve dag --gen random-dag:v=7,e=12,n=3,seed=1 --budget 3", EXIT_BUDGET,
+     "ee8937109b28390ba65a8d32ec3bcf8c481c19696ce5d7658ecbe15182a17b8d"),
+    ("solve dag", EXIT_INVALID,
+     "4a788861b53eaca10a9a04a3207f740c2208d0d30323bebe1401debf8e54fc3d"),
+    ("solve dag --gen pennies", EXIT_INVALID,
+     "e4276f5508c1d8a958eb51875d5698355b88b2cb1a1f3ec63aae5fced2165f4e"),
+    ("learn graphical --gen random-graphical:n=4,k=2,d=1,seed=3 --degree 1", EXIT_OK,
+     "ac86a7133793def1f26e964fbaab99d391fad77b41f56ddb70df0278276a13c4"),
+    ("learn graphical --gen random-graphical:n=5,k=3,d=2,seed=1 --degree 2", EXIT_OK,
+     "7f12af4c313bd77d50f8d555c4c4d0d24e055ad7d40c2d71c6387bdc8b117b46"),
+    ("learn graphical --gen random-graphical:n=4,k=2,d=1 --seed 2 --degree 1", EXIT_OK,
+     "7fbb203efb41922fd46d4c45396b956c2437340fd962d6817d65893fc323faec"),
+    ("learn graphical --gen random-graphical:n=5,k=2,d=3,seed=0 --degree 1",
+     EXIT_INVALID, "6a6f3fe041f2b869394d5cb9c4611450194f7dde093098b0bdbdb51e8ea73173"),
+    ("learn graphical --gen random-graphical:n=4,k=2,d=1,seed=3 --degree 1 "
+     "--budget 4", EXIT_BUDGET,
+     "caf47e9fe0dec2781550c9fba471ca551bf50f1b58402bccf24add45d78bd195"),
+    ("learn graphical --gen pennies --degree 1", EXIT_INVALID,
+     "249a10ca5e8022aa6a215e061199de81bc99b011d31912151eb7d61d8f89b692"),
+    ("learn dag --gen random-dag:v=5,e=7,n=2,seed=9", EXIT_OK,
+     "50542912fb8a2acfbb972d282014fc923e079feb3925b4da486d5bfc75d2b292"),
+    ("learn dag --gen random-dag:v=6,e=9,n=2,seed=0,subdivide=2", EXIT_OK,
+     "cc4600c306b30674c4a3b8d922d4c4b0c20cc02826c74a7820cbb4037fc9772c"),
+    ("learn dag --gen random-dag:v=6,e=9,n=2,seed=0,subdivide=2 --verify-mode sampled",
+     EXIT_OK, "cc4600c306b30674c4a3b8d922d4c4b0c20cc02826c74a7820cbb4037fc9772c"),
+    ("learn dag --game {dag} --verify-mode sampled", EXIT_OK,
+     "50542912fb8a2acfbb972d282014fc923e079feb3925b4da486d5bfc75d2b292"),
+    ("learn dag --gen step:m=2,n=4,seed=0", EXIT_OK,
+     "56dccc96d99ab5f51746ed272174634d98c6cf6741507c5b0d2993254890d1c7"),
+    ("learn dag --gen random-dag:v=7,e=12,n=3,seed=1 --budget 5", EXIT_BUDGET,
+     "f3881bf6091c4c33550d9f19af5aef910f387dde7d26aca5447ac88bfd7f99a2"),
+    ("learn dag --gen random-dag:v=120,e=400,n=2,seed=0", EXIT_INVALID,
+     "600254005403749f1430dedf5aedfb1fd1a57f71de2d5b3664d96d35e04f97bf"),
+    ("learn dag --gen random-dag:v=120,e=400,n=2,seed=0 --verify-mode sampled",
+     EXIT_INVALID, "16c304369df350ed2b9abf98d46129235018dc7f82ad85063ef21edc9449f5a6"),
+    ("learn dag --gen pennies", EXIT_INVALID,
+     "f53e3cc2235a6c1cbd2867253de9fd2d1ee3bdf66a9f32f053d886a6614e44fe"),
+    ("verify --game {pennies} --profile {pure}", EXIT_VERIFY_FAILED,
+     "e2aa772d089580cf1b64f881906ca8c300fe31edab08d41b836d4c5acedb6369"),
+    ("verify --game {links} --profile {congestion}", EXIT_VERIFY_FAILED,
+     "f7e0c5263bb8c0e8565d02b08bcd128987091cdd325c1092155ca44c95d36d80"),
+    ("bench parallel-links --m 4 --n-min-exp 4 --n-max-exp 6 --seed 1", EXIT_OK,
+     "9a7d8b906bcc559215d505a5d115674fc78eeab9c667959e880b9e098b61693f"),
+    ("bench parallel-links --m 3 --kf 2 --n-min-exp 2 --n-max-exp 5", EXIT_OK,
+     "6de4b5cb89a7347ddb6af9decd796adfc0b37cd69a25e6b859395066e03c0965"),
+    ("bench dag --v 5 --e 7 --players-min 1 --players-max 3 --seed 2", EXIT_OK,
+     "30ce94e64a0111b435a9e1086a29801debd0135455df7c6d521e80081d34c464"),
+    ("bench dag --v 6 --e 9 --players-min 2 --players-max 3 --seed 4", EXIT_OK,
+     "4a11dc7b64d502b821d05581258ca6e052e6522f2c748101706f709bce29488a"),
+    ("bench graphical --players-max 6 --k 2 --d 1 --seed 0", EXIT_OK,
+     "01f729a4fc6146a8727cd951ab95d830dd72e17a2c2e0234d6d52e72662263f3"),
+    ("bench graphical --players-max 4 --k 3 --d 2 --seed 5", EXIT_OK,
+     "865e6821610089e40afe39c26ec66f6dcbaa15f3dce40685fd7b04103444c0e2"),
+    ("bench parallel-links --n-min-exp 5 --n-max-exp 4", EXIT_INVALID,
+     "ba50e3d54bb710478286c8a3663485e9f8ce7983bc7818d0509701f6cdabd8ab"),
+    ("bench dag --players-min 3 --players-max 2", EXIT_INVALID,
+     "79c7a4ef9ec14bd809e349b3a9de79c3686f6797a98ff1a23ddc5195032cb78c"),
+]
+
+
+def cli_output(argv) -> tuple[int, str]:
+    """Exit code and sha256 of stdout and stderr of one in-process run.  A
+    bench row loses its last column, `seconds`, which is wall time."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if argv[0] == "bench":
+        text = "".join(row.rpartition(",")[0] + "\n" for row in text.splitlines())
+    return code, hashlib.sha256((text + err.getvalue()).encode()).hexdigest()
+
+
+def write_grid_files(folder) -> dict[str, str]:
+    """The game and profile files CLI_GRID names."""
+    files = {name: os.path.join(folder, f"{name}.json")
+             for name in ("links", "dag", "pennies", "pure", "congestion")}
+    for name, spec in [("links", "step:m=3,n=40,seed=1"), ("pennies", "pennies:k=2"),
+                       ("dag", "random-dag:v=5,e=7,n=2,seed=9")]:
+        assert main(["gen", spec, "--out", files[name]]) == EXIT_OK
+    for name, profile in [("pure", (0, 0)), ("congestion", {(0,): 40})]:
+        with open(files[name], "w") as fp:
+            json.dump(serialize.profile_to_dict(profile), fp)
+    return files
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    return write_grid_files(tmp_path_factory.mktemp("grid"))
+
+
+@pytest.mark.parametrize("line, code, digest", CLI_GRID, ids=[c[0] for c in CLI_GRID])
+def test_cli_output_is_pinned(grid_files, line, code, digest):
+    argv = [word.format(**grid_files) for word in line.split()]
+    assert cli_output(argv) == (code, digest)

@@ -81,19 +81,22 @@ class TestBruteForce:
             game = gen_random_dag(5, 7, 2, seed)
             assert brute_force_pure_ne(game)
 
-    def test_cap_guard(self):
+    def test_cap_guard(self, monkeypatch):
         game = diamond(players=3)
+        monkeypatch.setenv("PQLAB_CAP", "10")
         with pytest.raises(TooLarge):
-            brute_force_pure_ne(game, cap=10)
+            brute_force_pure_ne(game)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_cap_counts_anonymous_profiles_exactly(self, seed):
+    def test_cap_counts_anonymous_profiles_exactly(self, monkeypatch, seed):
         game = gen_random_dag(5, 8, 3, seed)
         paths = len(enumerate_paths(game))
         count = math.comb(paths + game.players - 1, game.players)
-        assert len(all_profiles(game, cap=count)) == count
+        monkeypatch.setenv("PQLAB_CAP", str(count))
+        assert len(list(all_profiles(game))) == count
+        monkeypatch.setenv("PQLAB_CAP", str(count - 1))
         with pytest.raises(TooLarge):
-            all_profiles(game, cap=count - 1)
+            all_profiles(game)
 
     def test_default_cap_admits_a_quarter_million_profiles(self):
         from pqlab.cli import make_game
@@ -102,7 +105,7 @@ class TestBruteForce:
         # only C(51, 4) = 249,900 anonymous ones, under the default 10^6.
         game = make_game("random-dag:v=10,e=24,n=4,seed=1")
         assert len(enumerate_paths(game)) == 48
-        assert len(all_profiles(game)) == 249_900
+        assert len(list(all_profiles(game))) == 249_900
 
 
 class TestGreedy:
