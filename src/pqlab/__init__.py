@@ -36,8 +36,6 @@ from .games import (
 )
 from .graphical import learn_graphical
 from .instances import (
-    GellSpec,
-    StepLinkSpec,
     gen_G_ell,
     gen_matching_pennies,
     gen_R_ell,
@@ -45,7 +43,6 @@ from .instances import (
     gen_random_dag,
     gen_random_graphical,
     gen_random_step_links,
-    gen_step_links,
 )
 from .oracles import AdversaryLinkOracle, CongestionOracle, PurePayoffOracle, QueryLedger
 from .parallel_links import solve_parallel_links

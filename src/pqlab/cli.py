@@ -40,7 +40,7 @@ EXIT_INVALID = 4
 # argument order, each with its default (None: the parameter is required).
 _FAMILIES: dict[str, tuple[Callable[..., object], dict[str, int | None]]] = {
     "pennies": (instances.gen_matching_pennies, {"k": 2}),
-    "gell": (lambda ell: instances.gen_G_ell(instances.GellSpec(ell)), {"ell": None}),
+    "gell": (instances.gen_G_ell, {"ell": None}),
     "rell": (instances.gen_R_ell, {"k": None, "target": 0}),
     "random-bimatrix": (instances.gen_random_bimatrix, {"k": None, "seed": None}),
     "random-graphical": (

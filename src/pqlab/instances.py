@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidSpec
@@ -23,48 +22,6 @@ _ONE = Fraction(1)
 _SIXTEENTHS = tuple(Fraction(i, 16) for i in range(17))
 
 
-@dataclass(frozen=True)
-class GellSpec:
-    """Parameters of the constant-sum hard family: an even ell >= 4."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.ell < 4 or self.ell % 2:
-            raise InvalidSpec(f"ell must be even and >= 4, got {self.ell}")
-
-
-@dataclass(frozen=True)
-class StepLinkSpec:
-    """Parallel links with piecewise-constant nondecreasing cost levels.
-
-    ``steps[i]`` lists (threshold, value) pairs for link i: the cost at load
-    x is the value attached to the largest threshold <= x.  The first
-    threshold of every link must be 0 and values must be nondecreasing.
-    """
-
-    links: int
-    players: int
-    steps: tuple[tuple[tuple[int, Fraction], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.links < 1 or self.players < 1:
-            raise InvalidSpec("need at least one link and one player")
-        if len(self.steps) != self.links:
-            raise InvalidSpec("one step description per link required")
-        for i, levels in enumerate(self.steps):
-            if not levels or levels[0][0] != 0:
-                raise InvalidSpec(f"link {i}: first threshold must be 0")
-            thresholds = [t for t, _ in levels]
-            values = [v for _, v in levels]
-            if thresholds != sorted(set(thresholds)):
-                raise InvalidSpec(f"link {i}: thresholds must strictly increase")
-            if any(a > b for a, b in zip(values, values[1:])):
-                raise InvalidSpec(f"link {i}: decreasing levels")
-            if any(v < _ZERO for v in values):
-                raise InvalidSpec(f"link {i}: negative level")
-
-
 def gen_matching_pennies(k: int) -> BimatrixGame:
     """Generalised matching pennies, rescaled from +-1 into [0, 1].
 
@@ -80,18 +37,18 @@ def gen_matching_pennies(k: int) -> BimatrixGame:
     return BimatrixGame(row, col)
 
 
-def gen_G_ell(spec: GellSpec) -> BimatrixGame:
+def gen_G_ell(ell: int) -> BimatrixGame:
     """Win-lose constant-sum game whose rows are the ell-choose-ell/2 half-one vectors.
 
     Rows are emitted in lexicographic order of their one-positions; the
     column player's payoff is one minus the row player's.
     """
-    ell = spec.ell
-    rows = []
-    for ones in itertools.combinations(range(ell), ell // 2):
-        chosen = set(ones)
-        rows.append(tuple(_ONE if j in chosen else _ZERO for j in range(ell)))
-    row = tuple(rows)
+    if ell < 4 or ell % 2:
+        raise InvalidSpec(f"ell must be even and >= 4, got {ell}")
+    row = tuple(
+        tuple(_ONE if j in ones else _ZERO for j in range(ell))
+        for ones in itertools.combinations(range(ell), ell // 2)
+    )
     col = tuple(tuple(_ONE - v for v in r) for r in row)
     return BimatrixGame(row, col)
 
@@ -118,35 +75,22 @@ def gen_R_ell(k: int, target_row: int) -> BimatrixGame:
     return BimatrixGame(row, col)
 
 
-def gen_step_links(spec: StepLinkSpec) -> CongestionGame:
-    """Parallel-links game with the given per-link step tables.
-
-    Each link's table is built from its breakpoints; thresholds above n
-    never apply and are left out.
-    """
-    n = spec.players
-    tables = [
-        StepTable([(t, v) for t, v in levels if t <= n], n) for levels in spec.steps
-    ]
-    return parallel_links_game(tables, n)
-
-
 def gen_random_step_links(links: int, players: int, seed: int) -> CongestionGame:
-    """Seeded random multi-step parallel-links instance."""
+    """Seeded random step links: per link 1..4 pieces, base cost 0..4, rises 0..5."""
     if links < 1 or players < 1:
         raise InvalidSpec("need at least one link and one player")
     rng = random.Random(seed)
-    steps = []
+    tables = []
     for _ in range(links):
         pieces = rng.randint(1, 4)
         thresholds = sorted(rng.sample(range(1, players + 1), min(pieces - 1, players)))
-        value = Fraction(rng.randint(0, 4))
+        value = rng.randint(0, 4)
         levels = [(0, value)]
         for t in thresholds:
-            value = value + Fraction(rng.randint(0, 5))
+            value += rng.randint(0, 5)
             levels.append((t, value))
-        steps.append(tuple(levels))
-    return gen_step_links(StepLinkSpec(links, players, tuple(steps)))
+        tables.append(StepTable(levels, players))
+    return parallel_links_game(tables, players)
 
 
 def _random_cost_table(rng: random.Random, players: int) -> list[Fraction]:
@@ -232,13 +176,12 @@ def gen_random_graphical(
     return GraphicalGame(players, strategies, tuple(in_neighbors), tuple(tables))
 
 
-def gen_random_bimatrix(k: int, seed: int, rows: int | None = None) -> BimatrixGame:
-    """Seeded random bimatrix game with payoffs on a 1/16 grid in [0, 1]."""
-    if k < 1 or (rows is not None and rows < 1):
+def gen_random_bimatrix(k: int, seed: int) -> BimatrixGame:
+    """Seeded random k x k bimatrix game with payoffs on a 1/16 grid in [0, 1]."""
+    if k < 1:
         raise InvalidSpec("need at least one strategy per player")
     rng = random.Random(seed)
-    nrows = rows if rows is not None else k
     rand = lambda: _SIXTEENTHS[rng.randint(0, 16)]  # noqa: E731
-    row = tuple(tuple(rand() for _ in range(k)) for _ in range(nrows))
-    col = tuple(tuple(rand() for _ in range(k)) for _ in range(nrows))
+    row = tuple(tuple(rand() for _ in range(k)) for _ in range(k))
+    col = tuple(tuple(rand() for _ in range(k)) for _ in range(k))
     return BimatrixGame(row, col)

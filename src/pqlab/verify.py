@@ -160,11 +160,16 @@ def is_delta_equilibrium(
     Requires delta | loads[i] off the special link, and that no group of
     delta players on a link with at least delta of them could pay less on
     any other link.  The total is not checked, so any phase's loads can be
-    given; a load outside 0..n is rejected.
+    given; a load outside 0..n is rejected, and so are tables of unequal
+    or zero length, a delta below 1 and a special index that names no link.
     """
+    if not tables or not tables[0] or any(len(t) != len(tables[0]) for t in tables):
+        raise InvalidSpec("need one or more cost tables, all over loads 0..n")
     n = len(tables[0]) - 1
     if len(loads) != len(tables):
         raise InvalidSpec("loads do not match the tables")
+    if delta < 1 or not 0 <= special < len(tables):
+        raise InvalidSpec(f"need delta >= 1 and a link as special, got {delta}, {special}")
     if any(not 0 <= x <= n for x in loads):
         raise InvalidProfile(f"link loads {tuple(loads)} leave the range 0..{n}")
     if any(x % delta for i, x in enumerate(loads) if i != special):
@@ -271,17 +276,20 @@ def check_equivalence(
     ``learned`` maps edge ids of the game to tables over loads 0..n.  An
     edge missing from it costs 0 at every load (a learner that contracted
     the edge carries its cost in another edge's table); a key that is not
-    an edge of the game is invalid input.  Exhaustive mode enumerates all
-    anonymous profiles; sampled mode lists every path and draws 200 random
-    profiles of game.players players from a generator seeded with 0.  The
-    cap (the default or PQLAB_CAP) bounds the profiles or the paths, and is
-    checked before any path is listed.  Returns (equivalent,
-    counterexample) where the counterexample names the profile and the
-    disagreeing path of the game.
+    an edge of the game, or a table without n + 1 entries, is invalid input.
+    Exhaustive mode enumerates all anonymous profiles; sampled mode lists
+    every path and draws 200 random profiles of game.players players from a
+    generator seeded with 0.  The cap (the default or PQLAB_CAP) bounds the
+    profiles or the paths, and is checked before any path is listed.
+    Returns (equivalent, counterexample) where the counterexample names the
+    profile and the disagreeing path of the game.
     """
     foreign = [e for e in learned if e not in game.network.edges]
     if foreign:
         raise InvalidSpec(f"learned tables name edges the game lacks: {foreign}")
+    for e, table in learned.items():
+        if not isinstance(table, Sequence) or len(table) != game.players + 1:
+            raise InvalidSpec(f"edge {e}: the learned table needs loads 0..{game.players}")
     if mode == "exhaustive":
         profiles = all_profiles(game)
     else:

@@ -26,7 +26,6 @@ from pqlab.dag_learner import contract_network, solve_dag_game
 from pqlab.games import link_tables
 from pqlab.graphical import learn_graphical, probe_set_size
 from pqlab.instances import (
-    GellSpec,
     gen_G_ell,
     gen_matching_pennies,
     gen_random_bimatrix,
@@ -100,7 +99,7 @@ def test_criterion_03_gell_payoff_identities():
     ):
         failures = []
         for ell in (4, 6, 8):
-            game = gen_G_ell(GellSpec(ell))
+            game = gen_G_ell(ell)
             for alpha in (F(1, ell) + F(1, 8), F(1, 4), F(1, 2)):
                 formula = alpha + (1 - alpha) * F(ell // 2 - 1, ell - 1)
                 bound = HALF + alpha / 2 - F(1, 2 * ell)

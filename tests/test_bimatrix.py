@@ -59,7 +59,9 @@ class TestHalfApproxNe:
             assert regret(game, result.profile) <= HALF
 
     def test_rectangular_game(self):
-        game = gen_random_bimatrix(5, seed=1, rows=3)
+        row = [[0, 1, "1/2", 1, 0], ["1/2", 0, 1, 0, 1], [1, "1/4", 0, "1/2", 0]]
+        col = [[1, 0, "1/2", 0, 1], [0, "3/4", 0, 1, "1/2"], ["1/4", 1, 1, 0, 0]]
+        game = bimatrix(row, col)
         oracle = PurePayoffOracle(game)
         result = half_approx_ne(oracle)
         assert result.queries_used == 5 + 3 - 1

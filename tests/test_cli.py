@@ -82,6 +82,8 @@ class TestGen:
             ("step:n=4,n=5", "parameter 'n' is given twice"),
             ("step:n=4,", "malformed generator parameter ''"),
             ("random-dag:n=3,seed=1,subdivide=-1", "subdivide must be >= 0, got -1"),
+            ("gell:ell=5", "ell must be even and >= 4, got 5"),
+            ("step:m=0,n=4", "need at least one link and one player"),
         ],
     )
     def test_bad_spec_is_invalid_spec_naming_the_parameter(

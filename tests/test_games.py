@@ -29,7 +29,6 @@ from pqlab.games import (
     validate_profile,
 )
 from pqlab.instances import (
-    GellSpec,
     gen_G_ell,
     gen_matching_pennies,
     gen_random_bimatrix,
@@ -149,7 +148,7 @@ class TestRegret:
         assert regret(game, MixedProfile.pure(0, 0, 2, 2)) == 1
 
     def test_gell_uniform_value_pinned(self):
-        game = gen_G_ell(GellSpec(8))
+        game = gen_G_ell(8)
         profile = MixedProfile.uniform(game.rows, game.cols)
         assert regret(game, profile) == 0
 
@@ -374,16 +373,15 @@ class TestStepTable:
     def test_matches_the_dense_expansion(self):
         import random
 
-        from pqlab.instances import StepLinkSpec, gen_step_links
-
         rng = random.Random(2024)
         for _ in range(400):
             n = rng.randint(1, 12)
             levels = _random_levels(rng, n)
             want = tuple(_dense_step_table(levels, n))
-            table = gen_step_links(StepLinkSpec(1, n, (tuple(levels),))).cost[0]
+            steps = [(t, v) for t, v in levels if t <= n]
+            table = parallel_links_game([StepTable(steps, n)], n).cost[0]
             assert isinstance(table, StepTable)
-            assert table == StepTable([(t, v) for t, v in levels if t <= n], n)
+            assert table == StepTable(steps, n)
             assert len(table) == n + 1 == len(want)
             assert tuple(table) == want and list(reversed(table)) == list(reversed(want))
             assert all(table[k] == want[k] for k in range(-n - 1, n + 1))

@@ -313,9 +313,10 @@ def test_a_learner_sized_unlike_the_game_queries_nothing(n, k, d):
 
 
 def test_a_non_square_bimatrix_oracle_is_refused_uncharged():
-    from pqlab.instances import gen_random_bimatrix
+    from pqlab import BimatrixGame
 
-    oracle = PurePayoffOracle(gen_random_bimatrix(3, seed=0, rows=2))
+    rows = ((F(1), F(0), F(1, 2)), (F(0), F(1), F(1, 4)))
+    oracle = PurePayoffOracle(BimatrixGame(rows, rows))
     for k in (2, 3):
         with pytest.raises(InvalidSpec):
             learn_graphical(oracle, 2, k, 1)

@@ -1,15 +1,16 @@
 """Generator families: construction identities and invariants."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from pqlab import InvalidSpec, MixedProfile, regret
-from pqlab.games import link_tables
+from pqlab import InvalidSpec, MixedProfile, parallel_links_game, regret
+from pqlab.cli import make_game
+from pqlab.games import StepTable, link_tables
 from pqlab.instances import (
-    GellSpec,
-    StepLinkSpec,
     gen_G_ell,
     gen_matching_pennies,
     gen_R_ell,
@@ -17,9 +18,9 @@ from pqlab.instances import (
     gen_random_dag,
     gen_random_graphical,
     gen_random_step_links,
-    gen_step_links,
     rows_winning_in_column,
 )
+from pqlab.serialize import game_to_dict
 
 F = Fraction
 
@@ -53,7 +54,7 @@ class TestMatchingPennies:
 
 class TestGell:
     def test_ell4_shape(self):
-        game = gen_G_ell(GellSpec(4))
+        game = gen_G_ell(4)
         assert game.rows == comb(4, 2) == 6
         assert game.cols == 4
         for row in game.row_payoff:
@@ -61,13 +62,13 @@ class TestGell:
         assert len(set(game.row_payoff)) == game.rows
 
     def test_constant_sum(self):
-        game = gen_G_ell(GellSpec(6))
+        game = gen_G_ell(6)
         for i in range(game.rows):
             for j in range(game.cols):
                 assert game.row_payoff[i][j] + game.col_payoff[i][j] == 1
 
     def test_uniform_row_gets_half_against_any_column(self):
-        game = gen_G_ell(GellSpec(6))
+        game = gen_G_ell(6)
         for j in range(game.cols):
             column = [game.row_payoff[i][j] for i in range(game.rows)]
             assert sum(column, F(0)) / game.rows == F(1, 2)
@@ -76,7 +77,7 @@ class TestGell:
     def test_column_overlap_fractions(self, ell):
         # |R_j| = C(ell-1, ell/2-1); any other column hits R_j in a
         # (ell/2-1)/(ell-1) fraction of its rows.
-        game = gen_G_ell(GellSpec(ell))
+        game = gen_G_ell(ell)
         for j in range(ell):
             r_j = rows_winning_in_column(game, j)
             assert len(r_j) == comb(ell - 1, ell // 2 - 1)
@@ -91,7 +92,7 @@ class TestGell:
         # uniform-over-R_j row strategy is alpha + (1-alpha)(ell/2-1)/(ell-1);
         # for ell = 8 that is exactly 4/7.
         ell, alpha = 8, F(1, 4)
-        game = gen_G_ell(GellSpec(ell))
+        game = gen_G_ell(ell)
         j = 2
         r_j = rows_winning_in_column(game, j)
         rest = (1 - alpha) / (ell - 1)
@@ -107,8 +108,9 @@ class TestGell:
         assert expected == alpha + (1 - alpha) * F(ell // 2 - 1, ell - 1) == F(4, 7)
 
     def test_odd_ell_rejected(self):
-        with pytest.raises(InvalidSpec):
-            GellSpec(5)
+        for ell in (5, 2, 0, -4):
+            with pytest.raises(InvalidSpec, match=f"ell must be even and >= 4, got {ell}"):
+                gen_G_ell(ell)
 
 
 class TestRell:
@@ -136,12 +138,9 @@ class TestRell:
 
 class TestStepLinks:
     def test_explicit_two_link_instance(self):
-        spec = StepLinkSpec(
-            links=2,
-            players=4,
-            steps=(((0, F(1)),), ((0, F(0)), (3, F(2)))),
+        game = parallel_links_game(
+            [StepTable([(0, F(1))], 4), StepTable([(0, F(0)), (3, F(2))], 4)], 4
         )
-        game = gen_step_links(spec)
         tables = link_tables(game)
         assert tables[0] == (1, 1, 1, 1, 1)
         assert tables[1] == (0, 0, 0, 2, 2)
@@ -151,15 +150,10 @@ class TestStepLinks:
         assert greedy_parallel_ne(tables, 4) == (2, 2)
 
     def test_single_link_forced(self):
-        spec = StepLinkSpec(links=1, players=3, steps=(((0, F(5)),),))
-        game = gen_step_links(spec)
+        game = parallel_links_game([StepTable([(0, F(5))], 3)], 3)
         from pqlab.verify import greedy_parallel_ne
 
         assert greedy_parallel_ne(link_tables(game), 3) == (3,)
-
-    def test_decreasing_levels_rejected(self):
-        with pytest.raises(InvalidSpec):
-            StepLinkSpec(2, 2, (((0, F(2)), (1, F(1))), ((0, F(0)),)))
 
     def test_random_instances_monotone(self):
         for seed in range(50):
@@ -196,3 +190,19 @@ class TestRandomGenerators:
             gen_random_step_links(3, 9, seed)
             gen_random_dag(5, 7, 2, seed)
             gen_random_graphical(4, 2, 1, seed)
+
+
+# sha256 of the game_to_dict JSON of each spec, captured before the
+# generators dropped their spec classes: the draws must stay the same.
+GAME_DIGESTS = {
+    "step:m=64,n=262144,seed=1": "a5fa408e05c00b6392801a6545d1f9f6814e0f378c5bc27b3221039982ebd960",
+    "step:m=1024,n=4096,seed=1": "80774476f4063e6ec4ce54fb88854de81bf141e7b00213a031765820cd1f72de",
+    "step:m=8,n=1099511627776,seed=3": "83eec85ab84b2ac3d20f881a0d8aa90cbc13099c5484e892127929f3433b2eb5",
+    "gell:ell=8": "b2662be0ce194a3ec7e380fd98e2cf260a0b20b9a8538b7cb9b875af06e783ea",
+}
+
+
+@pytest.mark.parametrize("spec", GAME_DIGESTS)
+def test_generated_game_is_pinned(spec):
+    text = json.dumps(game_to_dict(make_game(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GAME_DIGESTS[spec]

@@ -49,6 +49,28 @@ class TestDeltaEquilibrium:
         assert not is_delta_equilibrium(tables, (1, 2), 2, 1)
         assert is_delta_equilibrium(tables, (1, 2), 2, 0)
 
+    @pytest.mark.parametrize(
+        "tables, loads, delta, special",
+        [
+            ([], [], 1, 0),
+            ([[]], [0], 1, 0),
+            ([[0, 1, 2, 3], [0, 1]], [0, 3], 1, 1),
+            ([[0, 1, 2, 3], [0, 1]], [0, 1], 1, 0),
+            ([[0, 1, 2]], [2], 0, 0),
+            ([[0, 1, 2]], [2], -1, 0),
+            ([[0, 1, 2]], [1], 1, 5),
+            ([[0, 1, 2], [0, 1, 2]], [1, 1], 1, 2),
+            ([[0, 1, 2], [0, 1, 2]], [1, 1], 1, -1),
+        ],
+        ids=[
+            "no-tables", "empty-table", "ragged", "ragged-short-first", "delta-0",
+            "delta-negative", "special-above", "special-at-m", "special-negative",
+        ],
+    )
+    def test_input_it_cannot_judge_is_refused(self, tables, loads, delta, special):
+        with pytest.raises(InvalidSpec):
+            is_delta_equilibrium(tables, loads, delta, special)
+
 
 def _reference_delta_equilibrium(tables, loads, delta, special):
     """The double loop is_delta_equilibrium ran before it kept the two

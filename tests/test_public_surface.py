@@ -17,9 +17,8 @@ ALLOWED = {
     # Oracles and their ledger
     "AdversaryLinkOracle", "CongestionOracle", "PurePayoffOracle", "QueryLedger",
     # Generators
-    "GellSpec", "StepLinkSpec", "gen_G_ell", "gen_R_ell", "gen_matching_pennies",
-    "gen_random_bimatrix", "gen_random_dag", "gen_random_graphical",
-    "gen_random_step_links", "gen_step_links",
+    "gen_G_ell", "gen_R_ell", "gen_matching_pennies", "gen_random_bimatrix",
+    "gen_random_dag", "gen_random_graphical", "gen_random_step_links",
     # Solvers and learners
     "half_approx_ne", "learn_costs", "learn_graphical", "solve_dag_game",
     "solve_parallel_links",

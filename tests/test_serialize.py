@@ -8,7 +8,6 @@ import pytest
 
 from pqlab import InvalidSpec, MixedProfile
 from pqlab.instances import (
-    GellSpec,
     gen_G_ell,
     gen_matching_pennies,
     gen_random_dag,
@@ -41,7 +40,7 @@ def test_rational_rejects_garbage():
     "game",
     [
         gen_matching_pennies(3),
-        gen_G_ell(GellSpec(4)),
+        gen_G_ell(4),
         gen_random_graphical(4, 2, 2, seed=5),
         gen_random_dag(6, 9, 3, seed=7),
         gen_random_step_links(3, 5, seed=1),

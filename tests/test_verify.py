@@ -184,6 +184,23 @@ class TestCheckEquivalence:
             with pytest.raises(InvalidSpec, match="edges the game lacks"):
                 check_equivalence(learned, game, mode=mode)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda t: t[:2], lambda t: None, lambda t: [*t, t[-1]], lambda t: []],
+        ids=["cut-to-2", "none", "one-extra", "empty"],
+    )
+    def test_a_learned_table_of_the_wrong_length_is_invalid(self, monkeypatch, bad):
+        def listed(game):
+            raise AssertionError("a path was listed before the tables were checked")
+
+        monkeypatch.setattr(pqlab.verify, "enumerate_paths", listed)
+        game = diamond(players=3)
+        learned = {**game.cost, 2: bad(list(game.cost[2]))}
+        message = "edge 2: the learned table needs loads 0..3$"
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(InvalidSpec, match=message):
+                check_equivalence(learned, game, mode=mode)
+
     def test_sampled_mode(self):
         game = gen_random_dag(6, 9, 3, seed=5)
         ok, _ = check_equivalence(game.cost, game, mode="sampled")
