@@ -25,6 +25,7 @@ Path = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = frozenset({int})
 
 
 def _unit(value: object, what: str) -> Fraction:
@@ -40,7 +41,9 @@ def exact_sum(values: Sequence[Fraction]) -> Fraction:
     """The exact sum of values, added as integers over one common denominator.
 
     Equal to ``sum(values, Fraction(0))``, and normalised the same way, but
-    it reduces once instead of at every addition; that matters on long paths.
+    it reduces once instead of at every addition.  The DAG learner sums its
+    learned entries with it; the game prices a path from its own integer
+    view (:func:`strategy_costs`), over the same denominator.
     """
     if len(values) < 2:
         return values[0] if values else _ZERO
@@ -254,6 +257,7 @@ class Network:
             raise InvalidSpec(
                 f"vertices {sorted(stranded)} lie on no origin-destination path"
             )
+        self._accepted: dict[Path, Path] = {}  # see validate_path
 
     @classmethod
     def build(
@@ -360,7 +364,22 @@ class Network:
         return tuple(path)
 
     def validate_path(self, path: Path) -> None:
-        """Raise InvalidProfile unless path is an origin-destination path."""
+        """Raise InvalidProfile unless path is an origin-destination path.
+
+        The structure never changes, so a tuple path accepted once stays
+        valid: it is remembered, and that same tuple, or an equal one whose
+        elements all have type int, is accepted again without a walk.  The
+        type test matters: ``(False, 2)`` and ``(0.0, 2)`` equal ``(0, 2)``,
+        and only the walk refuses them.
+        """
+        try:
+            known = self._accepted.get(path)
+        except TypeError:  # a list path or an unhashable edge id: walk it
+            known = None
+        if known is not None and (
+            known is path or (type(path) is tuple and _INT.issuperset(map(type, path)))
+        ):
+            return
         at = self.origin
         seen_vertices = {at}
         for e in path:
@@ -377,6 +396,8 @@ class Network:
             raise InvalidProfile(
                 f"path ends at {at}, not the destination {self.destination}"
             )
+        if type(path) is tuple:
+            self._accepted.setdefault(path, path)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
@@ -471,15 +492,53 @@ class StepTable(Sequence):
         return f"StepTable([{steps}], n={self._size - 1})"
 
 
+class _StepPairs:
+    """A step table's entries as (numerator, denominator) pairs, by load."""
+
+    __slots__ = ("starts", "pairs")
+
+    def __init__(self, table: StepTable) -> None:
+        self.starts = table.starts
+        self.pairs = tuple([(v.numerator, v.denominator) for v in table.values])
+
+    def __getitem__(self, load: int) -> tuple[int, int]:
+        return self.pairs[bisect_right(self.starts, load) - 1]
+
+
+class _PricingView(dict):
+    """Edge id -> its cost table as integer (numerator, denominator) pairs
+    by load, derived on the edge's first read: a step table by its
+    breakpoints, any other table entry by entry."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self, cost: Mapping[int, Sequence[Fraction]]) -> None:
+        super().__init__()
+        self.cost = cost
+
+    def __missing__(self, e: int):
+        table = self.cost[e]
+        if isinstance(table, StepTable):
+            pairs = self[e] = _StepPairs(table)
+        else:
+            pairs = self[e] = tuple([(v.numerator, v.denominator) for v in table])
+        return pairs
+
+
 class CongestionGame:
     """Symmetric network congestion game on a DAG (or parallel links).
 
     Cost tables are per-edge lookup tables over loads 0..n: a tuple of every
     entry, or a :class:`StepTable` of breakpoints; a table that decreases
     anywhere is rejected.
+
+    :func:`strategy_costs` prices a path of several edges from a derived
+    view: each edge's table as integer pairs, built on that edge's first
+    read, and one shared ``Fraction`` per distinct cost answered.  The
+    constructor leaves both empty, and equality ignores both.
     """
 
-    __slots__ = ("network", "players", "cost")
+    __slots__ = ("network", "players", "cost", "_pairs", "_answers")
 
     def __init__(
         self,
@@ -515,6 +574,8 @@ class CongestionGame:
                 prev = v
             tables[e] = table
         self.cost = tables
+        self._pairs = _PricingView(tables)
+        self._answers: dict = {}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -581,22 +642,34 @@ def enumerate_paths(game: "CongestionGame | Network") -> tuple[Path, ...]:
     return tuple(paths)
 
 
+def _used_loads(net: Network, assignment: Mapping[Path, int]) -> dict[int, int]:
+    """Validate each path and count, then load only the edges the paths use."""
+    loads: dict[int, int] = {}
+    for path, count in assignment.items():
+        net.validate_path(tuple(path))
+        if count < 0:
+            raise InvalidProfile(f"negative count {count} for path {path}")
+        if not loads:  # a valid path uses each of its edges once
+            loads = dict.fromkeys(path, count)
+            continue
+        get = loads.get
+        for e in path:
+            loads[e] = get(e, 0) + count
+    return loads
+
+
 def edge_loads(
     game: "CongestionGame | Network", assignment: Mapping[Path, int]
 ) -> dict[int, int]:
     """Number of assigned players on each edge under the assignment.
 
     Accepts both strategy profiles and query payloads; each key must be a
-    valid origin-destination path and each count non-negative.
+    valid origin-destination path and each count non-negative.  Every edge
+    of the network is listed, unused ones at 0, in edge-id order.
     """
     net = _network_of(game)
-    loads = {e: 0 for e in net.edges}
-    for path, count in assignment.items():
-        net.validate_path(tuple(path))
-        if count < 0:
-            raise InvalidProfile(f"negative count {count} for path {path}")
-        for e in path:
-            loads[e] += count
+    loads = dict.fromkeys(net.edges, 0)
+    loads.update(_used_loads(net, assignment))
     return loads
 
 
@@ -606,19 +679,52 @@ def strategy_costs(
     """Cost of every assigned strategy under the loads the assignment induces.
 
     Loads on distinct strategies apply simultaneously, so one call prices
-    every queried path at once.  Any induced edge load above n is rejected.
-    Each cost is exact: the path's entries are summed as integers scaled to
-    their common denominator (:func:`exact_sum`).
+    every queried path at once.  Loads are counted on the queried paths'
+    edges only, and an edge load above n is rejected, the lowest edge id
+    named.  A one-edge path answers with its table's stored entry.  A longer
+    path is summed exactly from the game's integer view of its entries, over
+    the lcm of the denominators it reads (:func:`exact_sum`'s denominator),
+    and each distinct cost is answered with one shared ``Fraction``.
     """
-    loads = edge_loads(game, assignment)
+    loads = _used_loads(game.network, assignment)
     n = game.players
-    for e, load in loads.items():
-        if load > n:
-            raise LoadOutOfRange(f"edge {e} carries {load} players, above n={n}")
-    return {
-        tuple(path): exact_sum([game.cost[e][loads[e]] for e in path])
-        for path in assignment
-    }
+    if loads and max(loads.values()) > n:
+        e = min(e for e, load in loads.items() if load > n)
+        raise LoadOutOfRange(f"edge {e} carries {loads[e]} players, above n={n}")
+    cost, pairs, answers, gcd = game.cost, game._pairs, game._answers, math.gcd
+    out: dict[Path, Fraction] = {}
+    for path in assignment:
+        path = tuple(path)
+        if len(path) == 1:
+            e = path[0]
+            out[path] = cost[e][loads[e]]
+            continue
+        total, den = 0, 1
+        for e in path:
+            num, d = pairs[e][loads[e]]
+            if d == den:
+                total += num
+                continue
+            if d == 1:
+                total += num * den
+                continue
+            # Over lcm(den, d) = den // g * d: both sides scale by a quotient
+            # by g, and the lcm itself is never divided.
+            g = gcd(den, d)
+            if g == d:
+                total += num * (den // d)
+            else:
+                total = total * (d // g) + num * (den // g)
+                den = den // g * d
+        key = (total, den)
+        value = answers.get(key)
+        if value is None:
+            # Keyed by value as well, so that equal costs over different
+            # denominators share one object too.
+            value = Fraction(*key)
+            value = answers[key] = answers.setdefault(value, value)
+        out[path] = value
+    return out
 
 
 def validate_profile(game: CongestionGame, profile: Mapping[Path, int]) -> dict[int, int]:

@@ -209,8 +209,18 @@ def _check_cap(count: int, what: str) -> None:
         raise TooLarge(f"{count} {what} exceed the cap of {limit}")
 
 
+def _paths(game: CongestionGame) -> int:
+    """path_count(game), counted once per network and kept on it: a network
+    never changes, so a command that checks its cap before learning and
+    again in the check walks the network once."""
+    memo = game.network.__dict__
+    if "_path_count" not in memo:
+        memo["_path_count"] = path_count(game)
+    return memo["_path_count"]
+
+
 def _check_profile_cap(game: CongestionGame) -> None:
-    n, paths = game.players, path_count(game)
+    n, paths = game.players, _paths(game)
     count = math.comb(paths + n - 1, n)
     _check_cap(count, f"anonymous profiles ({paths} paths, {n} players)")
 
@@ -223,7 +233,7 @@ def check_equivalence_cap(game: CongestionGame, mode: str = "exhaustive") -> Non
     if mode == "exhaustive":
         _check_profile_cap(game)
     elif mode == "sampled":
-        _check_cap(path_count(game), "paths")
+        _check_cap(_paths(game), "paths")
     else:
         raise InvalidSpec(f"unknown mode {mode!r}")
 

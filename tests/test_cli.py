@@ -567,6 +567,27 @@ class TestSolveAndLearnDag:
         assert f"query budget of {learning - 1} exhausted" in capsys.readouterr().err
         assert [oracle.ledger.count for oracle in built] == [0, learning - 1]
 
+    @pytest.mark.parametrize("budget", [[], ["--budget", "14"]])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_learn_dag_counts_the_paths_once(self, tmp_path, monkeypatch, mode, budget):
+        # The cap is checked before learning and again by the check; both
+        # read one count of the network's paths.  A budget of n * |E'| = 14
+        # covers learning, so the early check runs too.
+        from pqlab import verify
+
+        calls = []
+        real = verify.path_count
+        monkeypatch.setattr(
+            verify, "path_count", lambda game: calls.append(game) or real(game)
+        )
+        code, payload = run(
+            tmp_path, "learn", "dag", "--gen", "random-dag:v=6,e=9,n=2,seed=0",
+            "--verify-mode", mode, *budget,
+        )
+        assert code == EXIT_OK and payload["verified"] is True
+        assert payload["queries_used"] == 14
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("command", ["learn", "solve"])
     @pytest.mark.parametrize(
         "spec, queries",

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pqlab import (
     BimatrixGame,
@@ -108,6 +108,24 @@ class TestStrategyCosts:
         costs = strategy_costs(game, {(0, 1): 1, (2,): 1})
         assert costs[(0, 1)] == F(1) + F(2)
         assert costs[(2,)] == F(3)
+
+    def test_equal_costs_share_one_answer(self):
+        # 1/2 + 1/2 is summed over denominator 2 and 1 + 0 over 1: one value,
+        # one object, in one query and across queries.  A one-edge path
+        # answers with the table's own entry.
+        net = Network(
+            (0, 1, 2), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (1, 2), 4: (0, 2)}, 0, 2
+        )
+        one = F(1)
+        game = CongestionGame(
+            net, 2, {0: [F(1, 2)] * 3, 1: [one] * 3, 2: [F(1, 2)] * 3, 3: [F(0)] * 3,
+                     4: [one] * 3},
+        )
+        costs = strategy_costs(game, {(0, 2): 1, (1, 3): 1})
+        assert costs == {(0, 2): 1, (1, 3): 1}
+        assert costs[(0, 2)] is costs[(1, 3)]
+        assert strategy_costs(game, {(1, 3): 2})[(1, 3)] is costs[(0, 2)]
+        assert strategy_costs(game, {(4,): 1})[(4,)] is game.cost[4][1]
 
     def test_agrees_with_direct_player_summation(self):
         # Independent evaluation: walk each player's path and sum by hand.
@@ -321,6 +339,72 @@ def test_costs_match_direct_summation_exhaustively():
             for path, count in profile.items():
                 if count:
                     assert costs[path] == sum(game.cost[e][loads[e]] for e in path)
+
+
+_DENOMINATORS = st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 12, 35))
+
+
+@st.composite
+def _rising_values(draw, count):
+    """count non-decreasing fractions, each step over its own denominator."""
+    value = F(draw(st.integers(0, 5)), draw(_DENOMINATORS))
+    values = [value]
+    for _ in range(count - 1):
+        value += F(draw(st.integers(0, 4)), draw(_DENOMINATORS))
+        values.append(value)
+    return values
+
+
+@st.composite
+def _priced_dags(draw):
+    """A small DAG game with no origin-destination edge, so every path has
+    at least two edges; some tables are step tables."""
+    top = draw(st.integers(2, 5))
+    pairs = [(t, h) for t in range(top + 1) for h in range(t + 1, top + 1)]
+    pairs.remove((0, top))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=10))
+    edges = {i: pair for i, pair in enumerate(chosen)}
+    try:
+        net = Network.build(range(top + 1), edges, 0, top)
+    except InvalidSpec:
+        assume(False)
+    n = draw(st.integers(1, 4))
+    tables = {}
+    for e in net.edges:
+        if draw(st.booleans()):
+            starts = [0] + sorted(draw(st.sets(st.integers(1, n), max_size=n)))
+            tables[e] = StepTable(zip(starts, draw(_rising_values(len(starts)))), n)
+        else:
+            tables[e] = draw(_rising_values(n + 1))
+    return CongestionGame(net, n, tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_priced_dags(), st.data())
+def test_multi_edge_paths_are_priced_as_the_fraction_sum(game, data):
+    # The reference adds the path's entries one Fraction at a time; equal
+    # costs across every query of the game come back as one object.
+    paths = enumerate_paths(game)
+    answered = {}
+    for _ in range(4):
+        chosen = data.draw(st.lists(st.sampled_from(paths), min_size=1, unique=True))
+        query, left = {}, game.players
+        for path in chosen:
+            query[path] = data.draw(st.integers(0, left))
+            left -= query[path]
+        loads = {}
+        for path, count in query.items():
+            for e in path:
+                loads[e] = loads.get(e, 0) + count
+        got = strategy_costs(game, query)
+        assert set(got) == set(query)
+        for path in query:
+            want = sum((game.cost[e][loads[e]] for e in path), Fraction(0))
+            assert len(path) >= 2
+            assert type(got[path]) is Fraction
+            assert got[path] == want
+            assert str(got[path]) == str(want)
+            assert answered.setdefault(got[path], got[path]) is got[path]
 
 
 _SUMMANDS = st.one_of(

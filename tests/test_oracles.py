@@ -169,6 +169,66 @@ class TestCongestionOracle:
                 oracle.query_loads({(0, 2): 1, bad: 1})
         assert oracle.ledger.count == 0
 
+    def test_loads_over_n_name_the_lowest_edge(self):
+        # Edges 3 and 0 both carry 4 players; edge 3 is loaded first.
+        game = diamond_game()
+        query = {(1, 3): 2, (0, 3): 2, (0, 2): 2}
+        message = "edge 0 carries 4 players, above n=3"
+        with pytest.raises(LoadOutOfRange, match=f"^{message}$"):
+            strategy_costs(game, query)
+        oracle = CongestionOracle(game)
+        with pytest.raises(LoadOutOfRange, match=f"^{message}$"):
+            oracle.query_loads(query)
+        assert oracle.ledger.count == 0
+
+    @pytest.mark.parametrize(
+        "query, message, oracle_error, oracle_message",
+        [
+            # The oracle refuses a negative count before the game sees it.
+            ({(0, 2): -1}, "negative count -1 for path (0, 2)",
+             LoadOutOfRange, "load -1 on (0, 2) is not an integer in 0..3"),
+            ({(0, 2): 1, (0, 9): 1}, "unknown edge id 9", InvalidProfile, None),
+            ({(2,): 1}, "edge 2 does not continue the path at 0", InvalidProfile, None),
+            ({(0, 2): 1, (0,): 1}, "path ends at 1, not the destination 2",
+             InvalidProfile, None),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, query, message, oracle_error, oracle_message):
+        # (0, 2) is accepted first, so a remembered path is in every query.
+        game = diamond_game()
+        strategy_costs(game, {(0, 2): 1})
+        with pytest.raises(InvalidProfile) as refused:
+            strategy_costs(game, query)
+        assert str(refused.value) == message
+        oracle = CongestionOracle(game)
+        with pytest.raises(oracle_error) as refused:
+            oracle.query_loads(query)
+        assert str(refused.value) == (oracle_message or message)
+        assert oracle.ledger.count == 0
+
+    @pytest.mark.parametrize("spelling", [(False, 2), (0.0, 2)])
+    def test_an_accepted_path_does_not_admit_equal_spellings(self, spelling):
+        game = diamond_game()
+        oracle = CongestionOracle(game)
+        oracle.query_loads({(0, 2): 1})
+        for _ in range(2):
+            with pytest.raises(InvalidProfile) as refused:
+                oracle.query_loads({spelling: 1})
+            assert str(refused.value) == f"unknown edge id {spelling[0]!r}"
+            with pytest.raises(InvalidProfile):
+                game.network.validate_path(spelling)
+        assert oracle.ledger.count == 1
+
+    def test_validate_path_takes_lists_and_unhashable_ids(self):
+        net = diamond_game().network
+        for _ in range(2):
+            assert net.validate_path([0, 2]) is None
+            assert net.validate_path((0, 2)) is None
+        with pytest.raises(InvalidProfile, match=r"^unknown edge id \[0\]$"):
+            net.validate_path(([0], 2))
+        with pytest.raises(InvalidProfile, match="^unknown edge id 9$"):
+            net.validate_path([0, 9])
+
     def test_transcript_dump(self):
         game = parallel_links_game([[0, 1, 2], [0, 5, 6]], 2)
         oracle = CongestionOracle(game)
