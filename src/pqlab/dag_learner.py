@@ -17,16 +17,20 @@ found by potential descent and maps back through contraction.
 The learner reads its network from the oracle: after contraction, the
 ContractedOracle's reduced one.  Contraction touches the network only,
 never a cost table, so a step-form game is never listed entry by entry.
+Arithmetic is exact: each learned value is also kept as its integer
+(numerator, denominator) pair, and the level sums and descent weights add
+those pairs over the lcm of the denominators they read, never over one
+denominator per game or per table.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AlgorithmInvariantViolated,
@@ -35,17 +39,26 @@ from .errors import (
     PathSelectionFailed,
     PotentialNotDecreasing,
 )
-from .games import Network, Path, edge_loads, exact_sum
+from .games import Network, Path, edge_loads
 
 _ZERO = Fraction(0)
 
 
 class PartialCostFunction:
-    """Per-edge, per-load optional cost values; once set, a value is final."""
+    """Per-edge, per-load optional cost values; once set, a value is final.
+
+    Each value is kept twice: as a ``Fraction`` by edge then load
+    (``_values``), and as its normalised (numerator, denominator) pair by
+    load then edge (``_pairs``), which the learner and the descent add as
+    integers (:func:`_pair_sum`).
+    """
 
     def __init__(self, edges: Iterable[int], players: int) -> None:
         self.players = players
         self._values: dict[int, dict[int, Fraction]] = {e: {} for e in edges}
+        # A load's dict is made at its first value: n may be far above the
+        # loads a budget lets the learner reach.
+        self._pairs: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
 
     def define(self, edge: int, load: int, value: Fraction) -> None:
         if not 1 <= load <= self.players:
@@ -55,9 +68,7 @@ class PartialCostFunction:
                 f"edge {edge} already has a value at load {load}"
             )
         self._values[edge][load] = value
-
-    def is_defined(self, edge: int, load: int) -> bool:
-        return load in self._values[edge]
+        self._pairs[load][edge] = (value.numerator, value.denominator)
 
     def value(self, edge: int, load: int) -> Fraction:
         try:
@@ -65,6 +76,16 @@ class PartialCostFunction:
         except KeyError:
             raise AlgorithmInvariantViolated(
                 f"edge {edge} has no learned value at load {load}"
+            ) from None
+
+    def pairs(self, load: int, edges: Iterable[int]) -> list[tuple[int, int]]:
+        """The (numerator, denominator) pairs of edges at one load, in order."""
+        at = self._pairs.get(load, {})
+        try:
+            return [at[e] for e in edges]
+        except KeyError as missing:
+            raise AlgorithmInvariantViolated(
+                f"edge {missing.args[0]} has no learned value at load {load}"
             ) from None
 
     def is_total(self) -> bool:
@@ -79,6 +100,30 @@ class PartialCostFunction:
             e: tuple([vals[1]] + [vals[j] for j in range(1, self.players + 1)])
             for e, vals in self._values.items()
         }
+
+
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of (numerator, denominator) pairs, as one such pair.
+
+    The denominator is the lcm of the denominators read, and the pair is
+    not reduced.  Adding over lcm(den, d) = den // g * d scales both sides
+    by a quotient by g = gcd(den, d), never dividing the lcm itself: the
+    rule :func:`games.strategy_costs` prices a path by.
+    """
+    total, den = 0, 1
+    for num, d in pairs:
+        if d == den:
+            total += num
+        elif d == 1:
+            total += num * den
+        else:
+            g = math.gcd(den, d)
+            if g == d:
+                total += num * (den // d)
+            else:
+                total = total * (d // g) + num * (den // g)
+                den = den // g * d
+    return total, den
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +524,7 @@ def learn_one_player(oracle) -> PartialCostFunction:
         scores: dict[int, Fraction] = {}
         for e in in_edges:
             stem = net.least_path(net.origin, net.edges[e][0])
-            known = exact_sum([f.value(e2, 1) for e2 in stem])
+            known = Fraction(*_pair_sum(f.pairs(1, stem)))
             path = stem + (e,) + continuation
             scores[e] = oracle.query_loads({path: 1})[path] - known
         base = min(scores.values()) if continuation else _ZERO
@@ -499,13 +544,15 @@ def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFuncti
 
     Each query puts one player on the one path and ``level`` players on the
     many path; the target's cost is the one path's response less the
-    shared edges at the new load and the other edges at load 1.
+    shared edges at the new load and the other edges at load 1.  Their
+    pairs are summed, subtracted from the response's pair over the lcm of
+    the two denominators, and one ``Fraction`` is built per value.
     """
     net = oracle.network
     if not 1 <= level < oracle.players:
         raise InvalidSpec(f"level must be in 1..n-1, got {level}")
     new_load = level + 1
-    if any(f.is_defined(e, new_load) for e in net.edges):
+    if not f._pairs.get(new_load, {}).keys().isdisjoint(net.edges):
         raise AlgorithmInvariantViolated(f"load {new_load} is already partly learned")
     before = oracle.ledger.count
     plan = _remembered(net, "_level_plan", _plan_level)
@@ -514,10 +561,13 @@ def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFuncti
             assignment = {one_path: 1 + level}
         else:
             assignment = {one_path: 1, many_path: level}
-        known = [f.value(e, new_load) for e in shared]
-        known += [f.value(e, 1) for e in single]
-        response = oracle.query_loads(assignment)
-        f.define(target, new_load, response[one_path] - exact_sum(known))
+        # Read before the query, so that a missing value charges nothing.
+        known, den = _pair_sum(f.pairs(new_load, shared) + f.pairs(1, single))
+        response = oracle.query_loads(assignment)[one_path]
+        num, d = response.numerator, response.denominator
+        g = math.gcd(den, d)
+        value = Fraction(num * (den // g) - known * (d // g), den // g * d)
+        f.define(target, new_load, value)
     used = oracle.ledger.count - before
     if used != len(net.edges):
         raise AlgorithmInvariantViolated(
@@ -625,16 +675,17 @@ def _best_response(
 ) -> tuple[Path, Fraction]:
     """Lexicographically least cheapest o-d path for a player on current_path.
 
-    Edge weights are the learned costs at the load the edge would carry
+    Edge weights are the learned pairs at the load the edge would carry
     after the move, scaled once to integers over their common denominator;
     a positive scale keeps every comparison and tie.  Costs to the
     destination are relaxed backwards along the topology, then the path
-    takes the lowest edge id that stays cheapest.
+    takes the lowest edge id that stays cheapest.  f must be total.
     """
     on_path = set(current_path)
-    exact = {e: f.value(e, load + (e not in on_path)) for e, load in loads.items()}
-    den = math.lcm(*{w.denominator for w in exact.values()})
-    weight = {e: w.numerator * (den // w.denominator) for e, w in exact.items()}
+    at = f._pairs
+    exact = {e: at[load + (e not in on_path)][e] for e, load in loads.items()}
+    den = math.lcm(*{d for _, d in exact.values()})
+    weight = {e: num * (den // d) for e, (num, d) in exact.items()}
     togo: dict[int, int] = {net.destination: 0}
     for v in reversed(net.topological_order()):
         for e in net.out_edges[v]:
@@ -662,14 +713,17 @@ def solve_learned_game(
     improvement lowers the Rosenthal potential by exactly the mover's saving
     (updated on the edges the move changes), which guards termination.
     """
+    if not f.is_total():
+        raise AlgorithmInvariantViolated("cost function is not total yet")
     start = net.least_path(net.origin, net.destination)
     if start is None:  # pragma: no cover - validated network
         raise PathSelectionFailed("no origin-destination path")
     profile: dict[Path, int] = {start: players}
     loads = edge_loads(net, profile)
+    at = f._pairs
     while True:
         for path in sorted(p for p, c in profile.items() if c > 0):
-            current = exact_sum([f.value(e, loads[e]) for e in path])
+            current = Fraction(*_pair_sum([at[loads[e]][e] for e in path]))
             best_path, best_cost = _best_response(f, net, loads, path)
             if best_cost < current and best_path != path:
                 profile[path] -= 1

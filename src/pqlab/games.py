@@ -13,11 +13,10 @@ import operator
 import sys
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import InvalidProfile, InvalidSpec, LoadOutOfRange, NotADag
 
@@ -35,20 +34,6 @@ def _unit(value: object, what: str) -> Fraction:
     if not 0 <= f.numerator <= f.denominator:
         raise InvalidSpec(f"{what} must lie in [0, 1], got {f}")
     return f
-
-
-def exact_sum(values: Sequence[Fraction]) -> Fraction:
-    """The exact sum of values, added as integers over one common denominator.
-
-    Equal to ``sum(values, Fraction(0))``, and normalised the same way, but
-    it reduces once instead of at every addition.  The DAG learner sums its
-    learned entries with it; the game prices a path from its own integer
-    view (:func:`strategy_costs`), over the same denominator.
-    """
-    if len(values) < 2:
-        return values[0] if values else _ZERO
-    den = math.lcm(*{v.denominator for v in values})
-    return Fraction(sum([v.numerator * (den // v.denominator) for v in values]), den)
 
 
 @dataclass(frozen=True)
@@ -683,8 +668,9 @@ def strategy_costs(
     edges only, and an edge load above n is rejected, the lowest edge id
     named.  A one-edge path answers with its table's stored entry.  A longer
     path is summed exactly from the game's integer view of its entries, over
-    the lcm of the denominators it reads (:func:`exact_sum`'s denominator),
-    and each distinct cost is answered with one shared ``Fraction``.
+    the lcm of the denominators it reads (the rule the DAG learner adds its
+    learned pairs by), and each distinct cost is answered with one shared
+    ``Fraction``.
     """
     loads = _used_loads(game.network, assignment)
     n = game.players

@@ -9,10 +9,11 @@ are rejected without being counted.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any
 
 from .errors import BudgetExhausted, InvalidProfile, InvalidSpec, LoadOutOfRange
 from .games import (

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import InvalidProfile, InvalidSpec, PqlabError
 from .games import (

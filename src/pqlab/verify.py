@@ -13,9 +13,9 @@ import math
 import os
 import random
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidProfile, InvalidSpec, TooLarge
 from .games import (

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pqlab import (
 from pqlab import dag_learner
 from pqlab.dag_learner import (
     ContractedOracle,
+    PartialCostFunction,
     contract_network,
     choose_p1_p3,
     find_bridges,
@@ -890,3 +892,85 @@ class TestContractionPinned:
         )
         absorbed = json.dumps({str(e): list(ids) for e, ids in cmap.absorbed.items()})
         assert (sha256(text)[:16], absorbed) == CONTRACTION_PINNED[cell]
+
+
+def _primes():
+    n = 1
+    while True:
+        n += 1
+        if all(n % k for k in range(2, math.isqrt(n) + 1)):
+            yield n
+
+
+def prime_step_game(shape):
+    """shape's network and players, with tables that start at 0 and step by
+    1/p, p the next prime along the edges in id order: every entry has its
+    own denominator, so the learner's sums take the lcm branch."""
+    primes = _primes()
+    tables = {}
+    for e in sorted(shape.network.edges):
+        table = [F(0)]
+        for _ in range(shape.players):
+            table.append(table[-1] + F(1, next(primes)))
+        tables[e] = table
+    return CongestionGame(shape.network, shape.players, tables)
+
+
+# (vertices, edges, players, seed, subdivide) -> sha256 of
+# repr(sorted(as_tables().items())) of the function learn_dag_game learns on
+# prime_step_game(gen_random_dag(...)).  Recorded when the learner added
+# its values as Fractions.
+PRIME_PINNED = {
+    (6, 10, 3, 0, 0): "31bb2a99cc508e05c1419a4b550c776a9772bc0f6d08c3f223bc2553a2a2e39f",
+    (6, 10, 3, 1, 1): "c3f7f36c65c0ca903523a6c83e89e1766926435dc3834f72401c19c0aa0afcf5",
+    (6, 10, 3, 2, 2): "1e6d3b94844e4786e08fc816df4e7972db2d5488625a96d5de843c50a9174ef2",
+    (6, 10, 3, 3, 0): "69dd8cf85ad74b27aeeb739b63109dbc0a56d2caf09e10700bdffa53f56639b3",
+    (6, 10, 3, 4, 1): "c25f5a36cbac74d58a38471c7106929a64241ce8ae9d9b7b27ac906def8a51f1",
+    (6, 10, 3, 5, 2): "36cb6dab4bd3c84df9eae556a247d67b8cbd199214fa5b6bb0d15de6ebd19d85",
+    (5, 8, 6, 0, 0): "4780dc9462164242e7ec4b327d84927d375eadaac4562ea47780b10cce5282fc",
+    (5, 8, 6, 1, 0): "29cfc014aa7b216cc64a15460376177a5ba4ffaea5c37b0354ffb34bea674e45",
+    (5, 8, 6, 2, 0): "47accd3085495d903537446112fc31ecde50c7c57eb1b2bc75e64a0244fa72f0",
+}
+
+
+class TestPairArithmetic:
+    @pytest.mark.parametrize("cell", sorted(PRIME_PINNED))
+    def test_prime_denominator_values_pinned(self, cell):
+        v, e, n, seed, subdivide = cell
+        game = prime_step_game(gen_random_dag(v, e, n, seed, subdivide=subdivide))
+        oracle = CongestionOracle(game)
+        f, _ = learn_dag_game(oracle)
+        tables = f.as_tables()
+        assert sha256(repr(sorted(tables.items()))) == PRIME_PINNED[cell]
+        assert max(x.denominator for t in tables.values() for x in t) > 10**8
+        # Each stored pair is its Fraction's normalised pair, at every load.
+        pairs = {
+            (edge, load): pair
+            for load, at in f._pairs.items()
+            for edge, pair in at.items()
+        }
+        values = {
+            (edge, load): (x.numerator, x.denominator)
+            for edge, vals in f._values.items()
+            for load, x in vals.items()
+        }
+        assert pairs == values
+        assert len(pairs) == n * len(tables)
+
+    @pytest.mark.parametrize("seed, edge", [(0, 1), (2, 2), (3, 1), (4, 6), (5, 1)])
+    def test_level_on_nothing_learned_names_the_edge_uncharged(self, seed, edge):
+        # The first plan entry reads load-1 values that were never learned.
+        game = gen_random_dag(6, 10, 3, seed)
+        reduced, cmap = contract_network(game.network)
+        oracle = CongestionOracle(game)
+        view = ContractedOracle(oracle, cmap) if cmap.steps else oracle
+        message = f"^edge {edge} has no learned value at load 1$"
+        with pytest.raises(AlgorithmInvariantViolated, match=message):
+            learn_level(view, PartialCostFunction(reduced.edges, 3), 1)
+        assert oracle.ledger.count == 0
+
+    def test_descent_refuses_a_partial_function(self):
+        game = diamond(players=2)
+        f = learn_one_player(CongestionOracle(game))
+        with pytest.raises(AlgorithmInvariantViolated, match="not total"):
+            solve_learned_game(f, game.network, game.players)

@@ -1,6 +1,7 @@
 """Core game semantics: loads, costs, payoffs, regret, paths, orderings."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,12 @@ from pqlab import (
     parallel_links_game,
     regret,
 )
+from pqlab.dag_learner import _pair_sum
 from pqlab.games import (
     StepTable,
     bimatrix_payoffs,
     edge_loads,
     enumerate_paths,
-    exact_sum,
     strategy_costs,
     validate_profile,
 )
@@ -421,13 +422,17 @@ _SUMMANDS = st.one_of(
 @example([F(-1, 2), F(1, 2)])
 @example([F(3), F(-4), F(10**30)])
 @example([F(1, 2**61 - 1), F(1, 10**18 + 9), F(-5, 3**40), F(7, 6)])
-def test_exact_sum_equals_the_fraction_sum(xs):
-    got, want = exact_sum(xs), sum(xs, Fraction(0))
-    assert type(got) is Fraction
+def test_pair_sum_equals_the_fraction_sum(xs):
+    # The DAG learner's sum of (numerator, denominator) pairs: over the lcm
+    # of the denominators read, and one Fraction of it is the exact sum.
+    total, den = _pair_sum([(x.numerator, x.denominator) for x in xs])
+    assert type(total) is int and type(den) is int
+    assert den == math.lcm(*{x.denominator for x in xs})
+    got, want = Fraction(total, den), sum(xs, Fraction(0))
     assert got == want
     assert str(got) == str(want)
     if len(xs) == 1:
-        assert got is xs[0]
+        assert (total, den) == (xs[0].numerator, xs[0].denominator)
 
 
 def _dense_step_table(levels, players):

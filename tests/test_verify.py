@@ -455,8 +455,8 @@ def test_link_loads_that_drop_players_are_rejected(loads):
 
 
 # What verify.py may take from games.py: the game types and the evaluation
-# semantics.  The solvers' arithmetic helpers, such as exact_sum, stay out,
-# so that ground truth adds its own Fractions.
+# semantics.  The solvers' arithmetic helpers, such as the DAG learner's
+# pair sum, stay out, so that ground truth adds its own Fractions.
 VERIFY_GAMES_IMPORTS = {
     "BimatrixGame",
     "CongestionGame",
@@ -471,8 +471,11 @@ VERIFY_GAMES_IMPORTS = {
 
 def test_verify_imports_only_the_standard_library_games_and_errors():
     # Ground truth stays independent of the solvers it checks.
-    assert "exact_sum" not in VERIFY_GAMES_IMPORTS
+    assert "_pair_sum" not in VERIFY_GAMES_IMPORTS
     tree = ast.parse(Path(pqlab.verify.__file__).read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "_pair_sum" not in names
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             assert node.level == 1 and node.module in {"games", "errors"}
