@@ -264,14 +264,24 @@ def _cmd_learn_graphical(args) -> int:
 
 
 def run_learn_graphical(game: GraphicalGame, oracle, degree: int) -> dict:
-    """`learn graphical` on an oracle of game: learn, compare, payload."""
+    """`learn graphical` on an oracle of game: learn, compare payoffs, payload."""
     learned = gg.learn_graphical(oracle, game.players, game.strategies, degree)
-    return {
+    differs = verify.graphical_equivalence(learned.game, game)
+    payload = {
         "learned_game": serialize.game_to_dict(learned.game),
         "affects_edges": sorted(map(list, learned.affects_edges)),
         "queries_used": learned.queries_used,
-        "verified": learned.game == game,
+        "verified": differs is None,
     }
+    if differs is not None:
+        player, profile = differs
+        payload["counterexample"] = {
+            "player": player,
+            "profile": list(profile),
+            "got": str(learned.game.payoff(player, profile)),
+            "want": str(game.payoff(player, profile)),
+        }
+    return payload
 
 
 def _cmd_learn_dag(args) -> int:

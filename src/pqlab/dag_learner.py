@@ -17,9 +17,9 @@ found by potential descent and maps back through contraction.
 The learner reads its network from the oracle: after contraction, the
 ContractedOracle's reduced one.  Contraction touches the network only,
 never a cost table, so a step-form game is never listed entry by entry.
-Arithmetic is exact: each learned value is also kept as its integer
-(numerator, denominator) pair, and the level sums and descent weights add
-those pairs over the lcm of the denominators they read, never over one
+Arithmetic is exact: each learned value is kept as its integer
+(numerator, denominator) pair only, and the level sums and descent weights
+add those pairs over the lcm of the denominators they read, never over one
 denominator per game or per table.
 """
 
@@ -39,7 +39,7 @@ from .errors import (
     PathSelectionFailed,
     PotentialNotDecreasing,
 )
-from .games import Network, Path, edge_loads
+from .games import Network, Path, _pair_sum, edge_loads
 
 _ZERO = Fraction(0)
 
@@ -47,15 +47,15 @@ _ZERO = Fraction(0)
 class PartialCostFunction:
     """Per-edge, per-load optional cost values; once set, a value is final.
 
-    Each value is kept twice: as a ``Fraction`` by edge then load
-    (``_values``), and as its normalised (numerator, denominator) pair by
-    load then edge (``_pairs``), which the learner and the descent add as
-    integers (:func:`_pair_sum`).
+    Each value is stored once, as its normalised (numerator, denominator)
+    pair by load then edge, which the learner and the descent add as
+    integers (:func:`games._pair_sum`); :meth:`value` and :meth:`as_tables`
+    build each ``Fraction`` from its pair.
     """
 
     def __init__(self, edges: Iterable[int], players: int) -> None:
         self.players = players
-        self._values: dict[int, dict[int, Fraction]] = {e: {} for e in edges}
+        self.edges = tuple(edges)
         # A load's dict is made at its first value: n may be far above the
         # loads a budget lets the learner reach.
         self._pairs: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
@@ -63,20 +63,15 @@ class PartialCostFunction:
     def define(self, edge: int, load: int, value: Fraction) -> None:
         if not 1 <= load <= self.players:
             raise AlgorithmInvariantViolated(f"load {load} outside 1..{self.players}")
-        if load in self._values[edge]:
+        at = self._pairs[load]
+        if edge in at:
             raise AlgorithmInvariantViolated(
                 f"edge {edge} already has a value at load {load}"
             )
-        self._values[edge][load] = value
-        self._pairs[load][edge] = (value.numerator, value.denominator)
+        at[edge] = (value.numerator, value.denominator)
 
     def value(self, edge: int, load: int) -> Fraction:
-        try:
-            return self._values[edge][load]
-        except KeyError:
-            raise AlgorithmInvariantViolated(
-                f"edge {edge} has no learned value at load {load}"
-            ) from None
+        return Fraction(*self.pairs(load, (edge,))[0])
 
     def pairs(self, load: int, edges: Iterable[int]) -> list[tuple[int, int]]:
         """The (numerator, denominator) pairs of edges at one load, in order."""
@@ -89,41 +84,22 @@ class PartialCostFunction:
             ) from None
 
     def is_total(self) -> bool:
-        return all(len(loads) == self.players for loads in self._values.values())
+        # Only loads 1..n are ever stored, so n of them means all of them.
+        edges = set(self.edges)
+        return len(self._pairs) == self.players and all(
+            at.keys() == edges for at in self._pairs.values()
+        )
 
     def as_tables(self) -> dict[int, tuple[Fraction, ...]]:
         """Dense tables over loads 0..n; the (never-charged) load-0 entry
         copies the load-1 value so the table stays nondecreasing."""
         if not self.is_total():
             raise AlgorithmInvariantViolated("cost function is not total yet")
-        return {
-            e: tuple([vals[1]] + [vals[j] for j in range(1, self.players + 1)])
-            for e, vals in self._values.items()
-        }
-
-
-def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The exact sum of (numerator, denominator) pairs, as one such pair.
-
-    The denominator is the lcm of the denominators read, and the pair is
-    not reduced.  Adding over lcm(den, d) = den // g * d scales both sides
-    by a quotient by g = gcd(den, d), never dividing the lcm itself: the
-    rule :func:`games.strategy_costs` prices a path by.
-    """
-    total, den = 0, 1
-    for num, d in pairs:
-        if d == den:
-            total += num
-        elif d == 1:
-            total += num * den
-        else:
-            g = math.gcd(den, d)
-            if g == d:
-                total += num * (den // d)
-            else:
-                total = total * (d // g) + num * (den // g)
-                den = den // g * d
-    return total, den
+        tables = {}
+        for e in self.edges:
+            values = [Fraction(*self._pairs[j][e]) for j in range(1, self.players + 1)]
+            tables[e] = (values[0], *values)
+        return tables
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +242,6 @@ class ContractionMap:
         return mapped
 
 
-def _remembered(net: Network, key: str, compute):
-    """compute(net), kept on the network under key; a network never changes."""
-    if key not in net.__dict__:
-        net.__dict__[key] = compute(net)
-    return net.__dict__[key]
-
-
 def _must_use(net: Network) -> tuple[dict[int, frozenset], dict[int, frozenset]]:
     """Per vertex v, the edges on every origin->v and every v->destination path.
 
@@ -301,7 +270,7 @@ def _dependent_steps(net: Network) -> list[ContractionStep]:
     search order -- the lowest-id edge with a later partner absorbs its
     lowest-id later partner -- replays on the groups without graph work.
     """
-    before, after = _remembered(net, "_must_use", _must_use)
+    before, after = net.remember("_must_use", _must_use)
     along = lambda e: net.topo_position[net.edges[e][0]]  # noqa: E731
     chains: list[list[int]] = []
     seen: set[int] = set()
@@ -349,7 +318,7 @@ def contract_network(net: Network) -> tuple[Network, ContractionMap]:
 
 def contracted(net: Network) -> tuple[Network, ContractionMap]:
     """contract_network(net), worked out once per network and then remembered."""
-    return _remembered(net, "_contraction", contract_network)
+    return net.remember("_contraction", contract_network)
 
 
 class ContractedOracle:
@@ -388,7 +357,7 @@ class ContractedOracle:
 
 def find_bridges(net: Network, kv: int) -> list[int]:
     """Edges lying on every kv-destination path, ordered along the topology."""
-    after = _remembered(net, "_must_use", _must_use)[1]
+    after = net.remember("_must_use", _must_use)[1]
     return sorted(after[kv], key=lambda e: net.topo_position[net.edges[e][0]])
 
 
@@ -555,7 +524,7 @@ def learn_level(oracle, f: PartialCostFunction, level: int) -> PartialCostFuncti
     if not f._pairs.get(new_load, {}).keys().isdisjoint(net.edges):
         raise AlgorithmInvariantViolated(f"load {new_load} is already partly learned")
     before = oracle.ledger.count
-    plan = _remembered(net, "_level_plan", _plan_level)
+    plan = net.remember("_level_plan", _plan_level)
     for target, one_path, many_path, shared, single in plan:
         if one_path == many_path:
             assignment = {one_path: 1 + level}

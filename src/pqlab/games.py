@@ -13,10 +13,11 @@ import operator
 import sys
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TypeVar
 
 from .errors import InvalidProfile, InvalidSpec, LoadOutOfRange, NotADag
 
@@ -25,6 +26,7 @@ Path = tuple[int, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INT = frozenset({int})
+_T = TypeVar("_T")
 
 
 def _unit(value: object, what: str) -> Fraction:
@@ -315,6 +317,14 @@ class Network:
     def topo_position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self._order)}
 
+    def remember(self, key: str, compute: Callable[["Network"], _T]) -> _T:
+        """compute(self), worked out on the first call with key and then kept:
+        the structure never changes, so neither does what is derived from it."""
+        memo = self.__dict__
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
+
     @property
     def is_parallel_links(self) -> bool:
         """Whether every edge goes from the origin to the destination."""
@@ -519,11 +529,10 @@ class CongestionGame:
 
     :func:`strategy_costs` prices a path of several edges from a derived
     view: each edge's table as integer pairs, built on that edge's first
-    read, and one shared ``Fraction`` per distinct cost answered.  The
-    constructor leaves both empty, and equality ignores both.
+    read.  The constructor leaves the view empty, and equality ignores it.
     """
 
-    __slots__ = ("network", "players", "cost", "_pairs", "_answers")
+    __slots__ = ("network", "players", "cost", "_pairs")
 
     def __init__(
         self,
@@ -560,7 +569,6 @@ class CongestionGame:
             tables[e] = table
         self.cost = tables
         self._pairs = _PricingView(tables)
-        self._answers: dict = {}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -658,6 +666,31 @@ def edge_loads(
     return loads
 
 
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of (numerator, denominator) pairs, as one such pair.
+
+    The denominator is the lcm of the denominators read, and the pair is
+    not reduced.  Adding over lcm(den, d) = den // g * d scales both sides
+    by a quotient by g = gcd(den, d), never dividing the lcm itself.  This
+    is the one place pairs are added: :func:`strategy_costs` prices a path
+    by it, and the DAG learner sums its learned values by it.
+    """
+    total, den = 0, 1
+    for num, d in pairs:
+        if d == den:
+            total += num
+        elif d == 1:
+            total += num * den
+        else:
+            g = math.gcd(den, d)
+            if g == d:
+                total += num * (den // d)
+            else:
+                total = total * (d // g) + num * (den // g)
+                den = den // g * d
+    return total, den
+
+
 def strategy_costs(
     game: CongestionGame, assignment: Mapping[Path, int]
 ) -> dict[Path, Fraction]:
@@ -667,49 +700,23 @@ def strategy_costs(
     every queried path at once.  Loads are counted on the queried paths'
     edges only, and an edge load above n is rejected, the lowest edge id
     named.  A one-edge path answers with its table's stored entry.  A longer
-    path is summed exactly from the game's integer view of its entries, over
-    the lcm of the denominators it reads (the rule the DAG learner adds its
-    learned pairs by), and each distinct cost is answered with one shared
-    ``Fraction``.
+    path is summed exactly from the game's integer view of its entries by
+    :func:`_pair_sum`, and answered with a new ``Fraction`` of that sum.
     """
     loads = _used_loads(game.network, assignment)
     n = game.players
     if loads and max(loads.values()) > n:
         e = min(e for e, load in loads.items() if load > n)
         raise LoadOutOfRange(f"edge {e} carries {loads[e]} players, above n={n}")
-    cost, pairs, answers, gcd = game.cost, game._pairs, game._answers, math.gcd
+    cost, pairs = game.cost, game._pairs
     out: dict[Path, Fraction] = {}
     for path in assignment:
         path = tuple(path)
         if len(path) == 1:
             e = path[0]
             out[path] = cost[e][loads[e]]
-            continue
-        total, den = 0, 1
-        for e in path:
-            num, d = pairs[e][loads[e]]
-            if d == den:
-                total += num
-                continue
-            if d == 1:
-                total += num * den
-                continue
-            # Over lcm(den, d) = den // g * d: both sides scale by a quotient
-            # by g, and the lcm itself is never divided.
-            g = gcd(den, d)
-            if g == d:
-                total += num * (den // d)
-            else:
-                total = total * (d // g) + num * (den // g)
-                den = den // g * d
-        key = (total, den)
-        value = answers.get(key)
-        if value is None:
-            # Keyed by value as well, so that equal costs over different
-            # denominators share one object too.
-            value = Fraction(*key)
-            value = answers[key] = answers.setdefault(value, value)
-        out[path] = value
+        else:
+            out[path] = Fraction(*_pair_sum([pairs[e][loads[e]] for e in path]))
     return out
 
 

@@ -86,7 +86,10 @@ class QueryLedger:
         default=str)`` of the matching ``entries()`` item.  Known entries are
         written by hand: a value's quoted string is worked out once per
         object (the log keeps every value alive, so an id names one object
-        for the whole dump) and a path's ``[e1, e2]`` once per path.
+        for the whole dump) and a path's ``[e1, e2]`` once per path.  Objects
+        repeat where the games hand out stored values: a table entry, which
+        answers every one-edge path and every graphical payoff.  A multi-edge
+        cost is a new object per answer, so its string is made per answer.
         """
         quoted: dict[int, str] = {}
         paths: dict[Path, str] = {}

@@ -193,6 +193,33 @@ def graphical_improvement(game: GraphicalGame, profile: Sequence[int]) -> Fracti
     )
 
 
+def graphical_equivalence(
+    learned: GraphicalGame, game: GraphicalGame
+) -> tuple[int, tuple[int, ...]] | None:
+    """The first (player, profile) where the two games' payoffs differ, or
+    None when they agree at every pure profile.
+
+    A player's payoff reads only its own strategy and its in-neighbors', so
+    for each player p, in order, every assignment of p and of the union of
+    its in-neighbors in the two games is compared exactly, the other players
+    at strategy 0; profiles go in lexicographic order.  An in-neighbor
+    listed by one game but ignored by its payoffs is no difference.  Games
+    of different sizes are invalid input.
+    """
+    if (learned.players, learned.strategies) != (game.players, game.strategies):
+        raise InvalidSpec("the games differ in their players or strategies")
+    n, k = game.players, game.strategies
+    for p in range(n):
+        free = sorted({p, *learned.in_neighbors[p], *game.in_neighbors[p]})
+        profile = [0] * n
+        for strategies in itertools.product(range(k), repeat=len(free)):
+            for q, s in zip(free, strategies):
+                profile[q] = s
+            if learned.payoff(p, profile) != game.payoff(p, profile):
+                return p, tuple(profile)
+    return None
+
+
 def path_count(game: CongestionGame) -> int:
     """Number of origin-destination paths, by one pass in topological order."""
     net = game.network
@@ -213,10 +240,7 @@ def _paths(game: CongestionGame) -> int:
     """path_count(game), counted once per network and kept on it: a network
     never changes, so a command that checks its cap before learning and
     again in the check walks the network once."""
-    memo = game.network.__dict__
-    if "_path_count" not in memo:
-        memo["_path_count"] = path_count(game)
-    return memo["_path_count"]
+    return game.network.remember("_path_count", lambda _: path_count(game))
 
 
 def _check_profile_cap(game: CongestionGame) -> None:

@@ -721,6 +721,56 @@ class TestLearnGraphical:
         assert payload["verified"] is True
         assert payload["queries_used"] == 1 + 4 + 6  # sum_{j<=2} C(4,j)
 
+    def test_an_ignored_in_neighbor_still_verifies(self, tmp_path):
+        # Player 0 lists player 1 but ignores it: the learner sees no edge,
+        # and every payoff it learns is right.
+        tables = (
+            {(own, (s,)): Fraction(own, 2) for own in range(2) for s in range(2)},
+            {(own, ()): Fraction(1, 1 + own) for own in range(2)},
+        )
+        game = GraphicalGame(2, 2, ((1,), ()), tables)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(serialize.game_to_dict(game)))
+        code, payload = run(
+            tmp_path, "learn", "graphical", "--game", str(path), "--degree", "1"
+        )
+        assert code == EXIT_OK
+        assert payload["verified"] is True
+        assert payload["queries_used"] == 4
+        assert payload["affects_edges"] == []
+        assert "counterexample" not in payload
+
+    def test_a_wrong_learned_payoff_is_not_verified(self, tmp_path, monkeypatch):
+        from pqlab import graphical
+
+        learn = graphical.learn_graphical
+
+        def changing(oracle, n, k, d):
+            learned = learn(oracle, n, k, d)
+            tables = list(learned.game.payoff_tables)
+            tables[2] = dict(tables[2])
+            key = max(tables[2])
+            tables[2][key] = 1 - tables[2][key]
+            game = dataclasses.replace(learned.game, payoff_tables=tuple(tables))
+            return dataclasses.replace(learned, game=game)
+
+        monkeypatch.setattr(graphical, "learn_graphical", changing)
+        spec = "random-graphical:n=4,k=2,d=1,seed=3"
+        code, payload = run(tmp_path, "learn", "graphical", "--gen", spec, "--degree", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert payload["verified"] is False
+        counterexample = payload["counterexample"]
+        assert set(counterexample) == {"player", "profile", "got", "want"}
+        assert counterexample["player"] == 2
+        profile = counterexample["profile"]
+        hidden = make_game(spec)
+        own, ctx = max(hidden.payoff_tables[2])
+        assert profile[2] == own
+        assert [profile[q] for q in hidden.in_neighbors[2]] == list(ctx)
+        want = hidden.payoff(2, profile)
+        assert counterexample["want"] == str(want)
+        assert Fraction(counterexample["got"]) == 1 - want
+
 
 class TestVerifyCommand:
     def test_congestion_profile_round_trip(self, tmp_path):

@@ -45,8 +45,13 @@ F = Fraction
 
 
 def _snapshot(f):
-    """A copy of the values a partial cost function has learned so far."""
-    return {e: dict(vals) for e, vals in f._values.items()}
+    """A copy of the values a partial cost function has learned so far, by
+    edge then load."""
+    snap = {e: {} for e in f.edges}
+    for load, at in f._pairs.items():
+        for e in at:
+            snap[e][load] = f.value(e, load)
+    return snap
 
 
 def reduced_game(game):
@@ -943,18 +948,15 @@ class TestPairArithmetic:
         tables = f.as_tables()
         assert sha256(repr(sorted(tables.items()))) == PRIME_PINNED[cell]
         assert max(x.denominator for t in tables.values() for x in t) > 10**8
-        # Each stored pair is its Fraction's normalised pair, at every load.
+        # Each stored pair is normalised and is its table entry, at every load.
         pairs = {
             (edge, load): pair
             for load, at in f._pairs.items()
             for edge, pair in at.items()
         }
-        values = {
-            (edge, load): (x.numerator, x.denominator)
-            for edge, vals in f._values.items()
-            for load, x in vals.items()
-        }
-        assert pairs == values
+        for (edge, load), (num, den) in pairs.items():
+            assert den > 0 and math.gcd(num, den) == 1
+            assert F(num, den) == tables[edge][load]
         assert len(pairs) == n * len(tables)
 
     @pytest.mark.parametrize("seed, edge", [(0, 1), (2, 2), (3, 1), (4, 6), (5, 1)])
@@ -968,6 +970,17 @@ class TestPairArithmetic:
         with pytest.raises(AlgorithmInvariantViolated, match=message):
             learn_level(view, PartialCostFunction(reduced.edges, 3), 1)
         assert oracle.ledger.count == 0
+
+    def test_a_missing_value_is_refused_and_stores_nothing(self):
+        # A refused read must not add a load to the store, or a total
+        # function would stop reading as total.
+        f = learn_costs(CongestionOracle(diamond(players=2)))
+        for load in (0, 3):
+            message = f"^edge 0 has no learned value at load {load}$"
+            with pytest.raises(AlgorithmInvariantViolated, match=message):
+                f.value(0, load)
+        assert sorted(f._pairs) == [1, 2]
+        assert f.is_total()
 
     def test_descent_refuses_a_partial_function(self):
         game = diamond(players=2)

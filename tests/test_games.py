@@ -20,9 +20,9 @@ from pqlab import (
     parallel_links_game,
     regret,
 )
-from pqlab.dag_learner import _pair_sum
 from pqlab.games import (
     StepTable,
+    _pair_sum,
     bimatrix_payoffs,
     edge_loads,
     enumerate_paths,
@@ -112,8 +112,8 @@ class TestStrategyCosts:
 
     def test_equal_costs_share_one_answer(self):
         # 1/2 + 1/2 is summed over denominator 2 and 1 + 0 over 1: one value,
-        # one object, in one query and across queries.  A one-edge path
-        # answers with the table's own entry.
+        # in one query and across queries.  A one-edge path answers with the
+        # table's own entry.
         net = Network(
             (0, 1, 2), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (1, 2), 4: (0, 2)}, 0, 2
         )
@@ -124,8 +124,8 @@ class TestStrategyCosts:
         )
         costs = strategy_costs(game, {(0, 2): 1, (1, 3): 1})
         assert costs == {(0, 2): 1, (1, 3): 1}
-        assert costs[(0, 2)] is costs[(1, 3)]
-        assert strategy_costs(game, {(1, 3): 2})[(1, 3)] is costs[(0, 2)]
+        assert all(type(c) is F and str(c) == "1" for c in costs.values())
+        assert strategy_costs(game, {(1, 3): 2})[(1, 3)] == costs[(0, 2)]
         assert strategy_costs(game, {(4,): 1})[(4,)] is game.cost[4][1]
 
     def test_agrees_with_direct_player_summation(self):
@@ -383,10 +383,8 @@ def _priced_dags(draw):
 @settings(max_examples=150, deadline=None)
 @given(_priced_dags(), st.data())
 def test_multi_edge_paths_are_priced_as_the_fraction_sum(game, data):
-    # The reference adds the path's entries one Fraction at a time; equal
-    # costs across every query of the game come back as one object.
+    # The reference adds the path's entries one Fraction at a time.
     paths = enumerate_paths(game)
-    answered = {}
     for _ in range(4):
         chosen = data.draw(st.lists(st.sampled_from(paths), min_size=1, unique=True))
         query, left = {}, game.players
@@ -405,7 +403,6 @@ def test_multi_edge_paths_are_priced_as_the_fraction_sum(game, data):
             assert type(got[path]) is Fraction
             assert got[path] == want
             assert str(got[path]) == str(want)
-            assert answered.setdefault(got[path], got[path]) is got[path]
 
 
 _SUMMANDS = st.one_of(

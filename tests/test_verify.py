@@ -12,11 +12,14 @@ import pytest
 from pqlab import (
     CongestionGame,
     CongestionOracle,
+    GraphicalGame,
     InvalidProfile,
     InvalidSpec,
     MixedProfile,
     Network,
+    PurePayoffOracle,
     TooLarge,
+    learn_graphical,
     parallel_links_game,
     regret,
     solve_dag_game,
@@ -27,6 +30,7 @@ from pqlab.instances import (
     gen_matching_pennies,
     gen_random_bimatrix,
     gen_random_dag,
+    gen_random_graphical,
     gen_random_step_links,
 )
 from pqlab.verify import (
@@ -37,6 +41,7 @@ from pqlab.verify import (
     check_equivalence_cap,
     deviation_report,
     exact_ne_2x2,
+    graphical_equivalence,
     greedy_parallel_ne,
     is_delta_equilibrium,
     path_count,
@@ -273,6 +278,76 @@ def test_an_unknown_mode_is_invalid_before_anything_is_listed():
         check_equivalence_cap(game, "random")
     with pytest.raises(InvalidSpec, match="unknown mode"):
         check_equivalence(game.cost, game, mode="random")
+
+
+def with_ignored_neighbor(game, p, q):
+    """game, with q listed as an in-neighbor of p whose strategy p's
+    payoff ignores: every entry is repeated over q's strategies."""
+    nbrs = list(game.in_neighbors)
+    nbrs[p] = tuple(sorted({*nbrs[p], q}))
+    at = nbrs[p].index(q)
+    tables = list(game.payoff_tables)
+    tables[p] = {
+        (own, ctx[:at] + (s,) + ctx[at:]): v
+        for (own, ctx), v in game.payoff_tables[p].items()
+        for s in range(game.strategies)
+    }
+    return GraphicalGame(game.players, game.strategies, tuple(nbrs), tuple(tables))
+
+
+def with_changed_entry(game, p, key):
+    """game, with player p's payoff at table key (own, ctx) moved off its value."""
+    tables = list(game.payoff_tables)
+    tables[p] = dict(tables[p])
+    v = tables[p][key]
+    tables[p][key] = F(0) if v == F(1, 2) else 1 - v
+    return GraphicalGame(game.players, game.strategies, game.in_neighbors, tuple(tables))
+
+
+class TestGraphicalEquivalence:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_equality_on_seeded_games(self, seed):
+        n, k, d = 5, 2 + seed % 2, 2
+        game = gen_random_graphical(n, k, d, seed)
+        learned = learn_graphical(PurePayoffOracle(game), n, k, d).game
+        p = seed % n
+        changed = with_changed_entry(game, p, min(game.payoff_tables[p]))
+        other = gen_random_graphical(n, k, d, seed + 1000)
+        for candidate in (learned, game, changed, other):
+            agree = graphical_equivalence(candidate, game) is None
+            assert agree == (candidate == game)
+        assert learned == game
+
+    def test_an_ignored_in_neighbor_is_no_difference(self):
+        game = gen_random_graphical(4, 3, 1, 0)
+        q = next(q for q in range(1, 4) if q not in game.in_neighbors[0])
+        padded = with_ignored_neighbor(game, 0, q)
+        assert padded != game
+        assert graphical_equivalence(padded, game) is None
+        assert graphical_equivalence(game, padded) is None
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_one_changed_entry_is_the_counterexample(self, p):
+        game = gen_random_graphical(4, 3, 2, 7)
+        own, ctx = key = max(game.payoff_tables[p])
+        profile = [0] * 4
+        profile[p] = own
+        for q, s in zip(game.in_neighbors[p], ctx):
+            profile[q] = s
+        changed = with_changed_entry(game, p, key)
+        assert graphical_equivalence(changed, game) == (p, tuple(profile))
+        # An ignored in-neighbor on one side moves nothing.
+        others = [q for q in range(4) if q != p and q not in game.in_neighbors[p]]
+        if others:
+            padded = with_ignored_neighbor(changed, p, others[0])
+            assert graphical_equivalence(padded, game) == (p, tuple(profile))
+
+    def test_games_of_different_sizes_are_invalid(self):
+        game = gen_random_graphical(4, 2, 1, 0)
+        with pytest.raises(InvalidSpec, match="players or strategies"):
+            graphical_equivalence(gen_random_graphical(5, 2, 1, 0), game)
+        with pytest.raises(InvalidSpec, match="players or strategies"):
+            graphical_equivalence(gen_random_graphical(4, 3, 1, 0), game)
 
 
 class TestExactNe2x2:
