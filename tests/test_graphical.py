@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pqlab import DegreeViolation, GraphicalGame, InvalidSpec, PurePayoffOracle
+from pqlab import graphical
 from pqlab.graphical import build_probe_set, learn_graphical, probe_set_size
 from pqlab.instances import gen_random_graphical
 from pqlab.serialize import game_to_dict
@@ -47,6 +48,14 @@ class TestProbeSet:
     def test_promise_above_players_rejected(self):
         with pytest.raises(InvalidSpec):
             build_probe_set(2, 2, 2)
+
+    @pytest.mark.parametrize("n, k, d", [(0, 2, 0), (3, 0, 1), (3, 2, -1), (2, 2, 2)])
+    def test_size_refuses_what_the_probe_set_refuses(self, n, k, d):
+        with pytest.raises(InvalidSpec) as built:
+            build_probe_set(n, k, d)
+        with pytest.raises(InvalidSpec) as sized:
+            probe_set_size(n, k, d)
+        assert str(sized.value) == str(built.value)
 
     def test_no_duplicates(self):
         probes = build_probe_set(4, 3, 2)
@@ -119,26 +128,93 @@ class TestLearner:
             learn_graphical(PurePayoffOracle(game), n, k, 1)
 
 
+# (n, k, d) cells with one strategy, two, four, and a promise d + 1 = n.
+LAYOUT_GRID = [
+    (1, 1, 0), (3, 1, 2), (1, 3, 0), (4, 2, 1), (4, 2, 3), (5, 2, 4),
+    (5, 3, 2), (3, 3, 2), (4, 4, 3), (6, 4, 1), (5, 4, 2),
+]
+
+
+@pytest.mark.parametrize("n, k, d", LAYOUT_GRID)
+def test_each_probe_sits_at_its_block_offset_plus_its_rank(n, k, d):
+    probes = build_probe_set(n, k, d)
+    offsets, _ = graphical._layout(n, k, d)
+    assert len(probes) == probe_set_size(n, k, d)
+    assert list(offsets) == sorted(offsets, key=lambda who: (len(who), who))
+    for position, s in enumerate(probes):
+        who = tuple(q for q in range(n) if s[q])
+        strategies = list(itertools.product(range(1, k), repeat=len(who)))
+        rank = strategies.index(tuple(s[q] for q in who))
+        assert position == offsets[who] + rank, (s, position)
+
+
+@pytest.mark.parametrize("n, k, d", LAYOUT_GRID)
+def test_each_parent_rank_finds_the_reset_profile(n, k, d):
+    probes = build_probe_set(n, k, d)
+    position = {s: i for i, s in enumerate(probes)}
+    offsets, ranks = graphical._layout(n, k, d)
+    pairs = 0
+    for who, start in offsets.items():
+        for r in range((k - 1) ** len(who)):
+            kid = probes[start + r]
+            for i, q in enumerate(who):
+                parent = offsets[who[:i] + who[i + 1 :]] + ranks[len(who)][i][r]
+                assert parent == position[kid[:q] + (0,) + kid[q + 1 :]]
+                pairs += 1
+    assert pairs == sum(sum(map(bool, s)) for s in probes)
+
+
+def probe_pair_witnesses(game, n, k, d):
+    """The pairs (q, p) for which two probes differing only in q's strategy
+    give p different payoffs, found by trying every strategy of every player."""
+    responses = {s: game.payoffs(s) for s in build_probe_set(n, k, d)}
+    witnessed = set()
+    for s in responses:
+        for q, alt in itertools.product(range(n), range(k)):
+            s2 = s[:q] + (alt,) + s[q + 1 :]
+            if s2 in responses:
+                witnessed.update(
+                    (q, p)
+                    for p in range(n)
+                    if p != q and responses[s2][p] != responses[s][p]
+                )
+    return witnessed
+
+
 def test_every_edge_has_a_probe_pair_witness():
     # Recompute witnesses directly from the probe set: the learned edges are
     # exactly the pairs (q, p) for which two probes differing only in q's
     # strategy give p different payoffs.
     n, d = 5, 2
-    for k, seed in itertools.product((2, 3), (*range(6), 12)):
+    for k, seed in itertools.product((1, 2, 3, 4), (*range(6), 12)):
         game = gen_random_graphical(n, k, d, seed=seed)
         learned = learn_graphical(PurePayoffOracle(game), n, k, d)
-        responses = {s: game.payoffs(s) for s in build_probe_set(n, k, d)}
-        witnessed = set()
-        for s in responses:
-            for q, alt in itertools.product(range(n), range(k)):
-                s2 = s[:q] + (alt,) + s[q + 1 :]
-                if s2 in responses:
-                    witnessed.update(
-                        (q, p)
-                        for p in range(n)
-                        if p != q and responses[s2][p] != responses[s][p]
-                    )
-        assert learned.affects_edges == witnessed, (k, seed)
+        assert learned.affects_edges == probe_pair_witnesses(game, n, k, d), (k, seed)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_denser_game_is_learned_or_refused_by_its_witnesses(n):
+    # Drawn at degree n - 1 and learned at a smaller promise: with no player
+    # witnessed above d the learned edges are the witnesses; otherwise the
+    # first such player is refused, with its witnessed count.
+    refused = 0
+    for k, d, seed in itertools.product((1, 2, 3, 4), range(n - 1), range(3)):
+        game = gen_random_graphical(n, k, n - 1, seed=seed)
+        witnessed = probe_pair_witnesses(game, n, k, d)
+        counts = [sum(1 for _, p2 in witnessed if p2 == p) for p in range(n)]
+        over = [p for p in range(n) if counts[p] > d]
+        if not over:
+            learned = learn_graphical(PurePayoffOracle(game), n, k, d)
+            assert learned.affects_edges == witnessed, (k, d, seed)
+            continue
+        refused += 1
+        with pytest.raises(DegreeViolation) as err:
+            learn_graphical(PurePayoffOracle(game), n, k, d)
+        assert str(err.value) == (
+            f"player {over[0]} shows {counts[over[0]]} influencing players, "
+            f"promise was {d}"
+        )
+    assert refused > 0
 
 
 # sha256 of the query transcript (QueryLedger.dump_jsonl) and of the learned
