@@ -354,10 +354,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     """One CSV row per grid cell, from the payload of the matching command."""
-    low, high = {
-        "parallel-links": (args.n_min_exp, args.n_max_exp),
-        "dag": (args.players_min, args.players_max),
-    }.get(args.family, (0, 0))
+    if args.family == "parallel-links":
+        low, high = args.n_min_exp, args.n_max_exp
+    elif args.family == "dag":
+        low, high = args.players_min, args.players_max
+    else:
+        low = high = 0
     if low > high:
         raise InvalidSpec(f"empty grid: the minimum {low} is above the maximum {high}")
     rows, verdicts = [], []
@@ -458,20 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="query-count sweeps as CSV")
-    p_bench.add_argument("family", choices=("parallel-links", "dag", "graphical"))
-    p_bench.add_argument("--m", type=int, default=8)
-    p_bench.add_argument("--kf", type=int, default=None)
-    p_bench.add_argument("--n-min-exp", type=int, default=8)
-    p_bench.add_argument("--n-max-exp", type=int, default=12)
-    p_bench.add_argument("--v", type=int, default=6)
-    p_bench.add_argument("--e", type=int, default=10)
-    p_bench.add_argument("--players-min", type=int, default=1)
-    p_bench.add_argument("--players-max", type=int, default=4)
-    p_bench.add_argument("--k", type=int, default=2)
-    p_bench.add_argument("--d", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(func=_cmd_bench)
+    bench_sub = p_bench.add_subparsers(dest="family", required=True)
+    # Each family declares only the flags it reads, so any other is refused.
+    for family, flags in (
+        ("parallel-links", (("--m", 8), ("--kf", None), ("--n-min-exp", 8),
+                            ("--n-max-exp", 12))),
+        ("dag", (("--v", 6), ("--e", 10), ("--players-min", 1), ("--players-max", 4))),
+        ("graphical", (("--players-max", 4), ("--k", 2), ("--d", 1))),
+    ):
+        b = bench_sub.add_parser(family)
+        for flag, default in (*flags, ("--seed", 0)):
+            b.add_argument(flag, type=int, default=default)
+        b.add_argument("--out")
+        b.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -42,7 +42,9 @@ def _unit(value: object, what: str) -> Fraction:
 class BimatrixGame:
     """Two-player game with payoff tables over k_row x k_col pure profiles.
 
-    Entries must lie in [0, 1] and both tables must have identical shape.
+    Entries must lie in [0, 1] and both tables must have identical shape.  A
+    table with an entry of another spelling is stored as the checked
+    Fractions.
     """
 
     row_payoff: tuple[tuple[Fraction, ...], ...]
@@ -58,10 +60,11 @@ class BimatrixGame:
             len(r) for r in self.col_payoff
         } != widths:
             raise InvalidSpec("payoff tables must have identical dimensions")
-        for table, name in ((self.row_payoff, "row"), (self.col_payoff, "col")):
-            for r in table:
-                for v in r:
-                    _unit(v, f"{name} payoff")
+        for name in ("row_payoff", "col_payoff"):
+            table, what = getattr(self, name), f"{name[:3]} payoff"
+            exact = tuple(tuple(_unit(v, what) for v in r) for r in table)
+            if any(type(v) is not Fraction for r in table for v in r):
+                object.__setattr__(self, name, exact)
 
     @property
     def rows(self) -> int:
@@ -71,16 +74,28 @@ class BimatrixGame:
     def cols(self) -> int:
         return len(self.row_payoff[0])
 
+    def payoffs(self, profile: Sequence[int]) -> tuple[Fraction, Fraction]:
+        """Both players' payoffs at a pure profile (row, col)."""
+        i, j = profile
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise InvalidProfile(f"pure profile {profile} out of range")
+        return self.row_payoff[i][j], self.col_payoff[i][j]
+
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """A pair of exact probability vectors, one per player."""
+    """A pair of exact probability vectors, one per player, stored as Fractions."""
 
     row_dist: tuple[Fraction, ...]
     col_dist: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        for dist, name in ((self.row_dist, "row"), (self.col_dist, "col")):
+        for name in ("row", "col"):
+            dist = tuple(
+                p if type(p) is Fraction else Fraction(p)  # type: ignore[arg-type]
+                for p in getattr(self, f"{name}_dist")
+            )
+            object.__setattr__(self, f"{name}_dist", dist)
             if not dist:
                 raise InvalidSpec(f"{name} distribution is empty")
             if any(p < _ZERO for p in dist):
@@ -92,10 +107,7 @@ class MixedProfile:
     def of(
         cls, row_dist: Iterable[object], col_dist: Iterable[object]
     ) -> "MixedProfile":
-        return cls(
-            tuple(Fraction(p) for p in row_dist),  # type: ignore[arg-type]
-            tuple(Fraction(p) for p in col_dist),  # type: ignore[arg-type]
-        )
+        return cls(tuple(row_dist), tuple(col_dist))  # type: ignore[arg-type]
 
     @classmethod
     def pure(cls, row: int, col: int, rows: int, cols: int) -> "MixedProfile":
@@ -128,7 +140,8 @@ class GraphicalGame:
     ``payoff`` reads a derived index, built on the first lookup: per player,
     an ``itemgetter`` that picks ``(own, *neighbor_strategies)`` out of a
     profile (the bare own strategy when p has no in-neighbors) and a dict
-    keyed by that, holding the same entries as ``payoff_tables[p]``.
+    keyed by that, holding the same entries as ``payoff_tables[p]``.  A table
+    with an entry of another spelling is stored as the checked Fractions.
     """
 
     players: int
@@ -142,6 +155,7 @@ class GraphicalGame:
             raise InvalidSpec("graphical game needs n >= 1 players, k >= 1 strategies")
         if len(self.in_neighbors) != n or len(self.payoff_tables) != n:
             raise InvalidSpec("per-player fields must have length n")
+        tables = list(self.payoff_tables)
         for p, nbrs in enumerate(self.in_neighbors):
             if list(nbrs) != sorted(set(nbrs)):
                 raise InvalidSpec(f"in-neighbors of player {p} must be sorted and unique")
@@ -154,13 +168,18 @@ class GraphicalGame:
                 raise InvalidSpec(
                     f"player {p} table has {len(table)} entries, expected {expected}"
                 )
-            what = f"player {p} payoff"
+            what, exact = f"player {p} payoff", True
             for (own, ctx), v in table.items():
                 if not 0 <= own < k or len(ctx) != width:
                     raise InvalidSpec(f"player {p} table key ({own}, {ctx}) malformed")
                 if any(not 0 <= s < k for s in ctx):
                     raise InvalidSpec(f"player {p} table key ({own}, {ctx}) malformed")
-                _unit(v, what)
+                if _unit(v, what) is not v:
+                    exact = False
+            if not exact:
+                tables[p] = {key: _unit(v, what) for key, v in table.items()}
+        if any(map(operator.is_not, tables, self.payoff_tables)):
+            object.__setattr__(self, "payoff_tables", tuple(tables))
 
     @property
     def affects_edges(self) -> frozenset[tuple[int, int]]:
@@ -732,16 +751,6 @@ def validate_profile(game: CongestionGame, profile: Mapping[Path, int]) -> dict[
             f"profile places {total} players, game has {game.players}"
         )
     return loads
-
-
-def bimatrix_payoffs(
-    game: BimatrixGame, profile: tuple[int, int]
-) -> tuple[Fraction, Fraction]:
-    """Both players' payoffs at a pure profile (row, col)."""
-    i, j = profile
-    if not (0 <= i < game.rows and 0 <= j < game.cols):
-        raise InvalidProfile(f"pure profile {profile} out of range")
-    return game.row_payoff[i][j], game.col_payoff[i][j]
 
 
 def regret(game: BimatrixGame, profile: MixedProfile) -> Fraction:

@@ -23,7 +23,6 @@ from .games import (
     Network,
     Path,
     StepTable,
-    bimatrix_payoffs,
     parallel_links_game,
     strategy_costs,
 )
@@ -202,10 +201,7 @@ class PurePayoffOracle(_Budgeted):
                 f"profile {profile!r} is not {self.players} integer strategies"
             )
         profile = _Profile(profile)
-        if isinstance(self._game, BimatrixGame):
-            response = bimatrix_payoffs(self._game, (profile[0], profile[1]))
-        else:
-            response = self._game.payoffs(profile)
+        response = self._game.payoffs(profile)
         self._charge(profile, response)
         return response
 

@@ -282,9 +282,20 @@ class TestUsageErrors:
             (["solve", "parallel-links", "--gen", "step:m=2,n=16,seed=1",
               "--players", "8"],
              "argument --players: not allowed without argument --adversary"),
+            (["bench", "graphical", "--players-max", "4", "--k", "2", "--d", "1",
+              "--m", "99", "--v", "3", "--players-min", "9", "--kf", "7",
+              "--n-min-exp", "30"],
+             "unrecognized arguments: --m 99 --v 3 --players-min 9 --kf 7"
+             " --n-min-exp 30"),
+            (["bench", "parallel-links", "--m", "4", "--players-max", "3"],
+             "unrecognized arguments: --players-max 3"),
+            (["bench", "dag", "--v", "5", "--e", "7", "--d", "2"],
+             "unrecognized arguments: --d 2"),
         ],
         ids=["budget", "no-target", "command", "bench-family", "game-and-gen",
-             "seed-with-game", "seed-without-gen", "players-without-adversary"],
+             "seed-with-game", "seed-without-gen", "players-without-adversary",
+             "bench-graphical-foreign-flags", "bench-links-foreign-flag",
+             "bench-dag-foreign-flag"],
     )
     def test_usage_error_exits_4_with_argparse_message(
         self, monkeypatch, capsys, argv, message

@@ -23,7 +23,6 @@ from pqlab import (
 from pqlab.games import (
     StepTable,
     _pair_sum,
-    bimatrix_payoffs,
     edge_loads,
     enumerate_paths,
     strategy_costs,
@@ -144,17 +143,53 @@ class TestStrategyCosts:
 class TestBimatrixPayoffs:
     def test_matching_pennies_diagonal(self):
         game = gen_matching_pennies(2)
-        assert bimatrix_payoffs(game, (0, 0)) == (1, 0)
-        assert bimatrix_payoffs(game, (0, 1)) == (0, 1)
+        assert game.payoffs((0, 0)) == (1, 0)
+        assert game.payoffs((0, 1)) == (0, 1)
 
     def test_zero_game(self):
         game = bimatrix([[0, 0], [0, 0]], [[0, 0], [0, 0]])
-        assert bimatrix_payoffs(game, (1, 1)) == (0, 0)
+        assert game.payoffs((1, 1)) == (0, 0)
 
     def test_out_of_range(self):
         game = gen_matching_pennies(2)
-        with pytest.raises(InvalidProfile):
-            bimatrix_payoffs(game, (2, 0))
+        message = r"^pure profile \(2, 0\) out of range$"
+        with pytest.raises(InvalidProfile, match=message):
+            game.payoffs((2, 0))
+
+
+class TestExactEntries:
+    """A constructor stores the Fraction of any spelling it accepts."""
+
+    def test_bimatrix_strings_are_stored_and_priced_as_fractions(self):
+        game = BimatrixGame((("1", "0"), ("0", "1")), (("0", "1"), ("1", "0")))
+        assert game == gen_matching_pennies(2)
+        assert {type(v) for r in game.row_payoff + game.col_payoff for v in r} == {F}
+        assert regret(game, MixedProfile.uniform(2, 2)) == 0
+
+    def test_a_mixed_profile_of_floats_is_stored_as_fractions(self):
+        profile = MixedProfile((0.5, 0.5), [0.25, 0.75])
+        assert profile == MixedProfile.of((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
+        assert type(profile.col_dist) is tuple
+        value = regret(gen_matching_pennies(2), MixedProfile((0.5, 0.5), (0.5, 0.5)))
+        assert value == 0 and type(value) is F
+
+    def test_tables_of_fractions_are_kept_as_they_are(self):
+        row, col = ((F(1), F(0)),), ((F(0), F(1)),)
+        game = BimatrixGame(row, col)
+        assert game.row_payoff is row and game.col_payoff is col
+        tables = ({(0, ()): F(1, 2), (1, ()): F(1)},)
+        graphical = GraphicalGame(1, 2, ((),), tables)
+        assert graphical.payoff_tables is tables
+
+    def test_graphical_entries_of_other_spellings_become_fractions(self):
+        tables = ({(0, ()): True, (1, ()): 0.5, (2, ()): "\t1/3"},)
+        game = GraphicalGame(1, 3, ((),), tables)
+        assert list(game.payoff_tables[0].items()) == [
+            ((0, ()), F(1)), ((1, ()), F(1, 2)), ((2, ()), F(1, 3))
+        ]
+        assert tables[0][(0, ())] is True
+        assert [game.payoff(0, (s,)) for s in range(3)] == [1, F(1, 2), F(1, 3)]
+        assert {type(game.payoff(0, (s,))) for s in range(3)} == {F}
 
 
 class TestRegret:

@@ -617,15 +617,27 @@ class TestLedgerDump:
         assert dump(oracle) == json_of_entries(oracle.ledger)
 
     def test_payoffs_of_other_types_dump_as_their_str(self):
-        # A table may hold any value _unit accepts; the transcript writes
-        # str(value) as json.dumps quotes it, escapes included.
+        # A table may hold any value _unit accepts; the game stores the
+        # Fraction it checked, and the transcript writes str(value).
         tables = ({(0, ()): 1, (1, ()): F(1, 2), (2, ()): "\t1/3"},)
         oracle = PurePayoffOracle(GraphicalGame(1, 3, ((),), tables))
         for s in (0, 1, 2, 2):
             oracle.query_pure((s,))
         assert dump(oracle) == json_of_entries(oracle.ledger)
         assert dump(oracle).splitlines()[2] == (
-            '{"query": {"profile": [2]}, "response": ["\\t1/3"]}'
+            '{"query": {"profile": [2]}, "response": ["1/3"]}'
+        )
+
+    def test_a_bool_a_float_and_a_string_are_answered_as_fractions(self):
+        tables = ({(0, ()): True, (1, ()): 0.5, (2, ()): "3/4"},)
+        oracle = PurePayoffOracle(GraphicalGame(1, 3, ((),), tables))
+        answers = [oracle.query_pure((s,)) for s in range(3)]
+        assert answers == [(F(1),), (F(1, 2),), (F(3, 4),)]
+        assert {type(v) for (v,) in answers} == {F}
+        assert dump(oracle) == (
+            '{"query": {"profile": [0]}, "response": ["1"]}\n'
+            '{"query": {"profile": [1]}, "response": ["1/2"]}\n'
+            '{"query": {"profile": [2]}, "response": ["3/4"]}\n'
         )
 
     def test_an_entry_of_another_shape_dumps_through_json(self):

@@ -352,6 +352,16 @@ def test_non_monotone_mixed_integral_and_fractional_costs_detected(lower, higher
         solve_parallel_links(oracle, 3)
 
 
+def test_non_monotone_cost_above_a_higher_load_detected():
+    # With the default kf=2 the solver learns link 0 at load 4 first and at
+    # 3 later; the cost at 3 exceeds the one already known at 4.
+    oracle = _NonMonotoneOracle(tuple(F(v) for v in (0, 0, 0, 1, 0)))
+    with pytest.raises(
+        AlgorithmInvariantViolated, match="^link 0: cost at load 3 above cost at 4$"
+    ):
+        solve_parallel_links(oracle)
+
+
 def test_single_player_takes_cheapest_link():
     game = parallel_links_game([[0, 4], [0, 2], [0, 7]], 1)
     result = solve_and_check(game)

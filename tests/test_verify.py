@@ -1,6 +1,7 @@
 """The independent ground-truth oracles themselves."""
 
 import ast
+import itertools
 import math
 import random
 import sys
@@ -341,6 +342,29 @@ class TestGraphicalEquivalence:
         if others:
             padded = with_ignored_neighbor(changed, p, others[0])
             assert graphical_equivalence(padded, game) == (p, tuple(profile))
+
+    def test_a_game_of_strings_equals_its_fraction_twin(self):
+        nbrs = ((1,), (), (0, 1))
+        spelled = tuple(
+            {
+                (own, ctx): "1" if (own + sum(ctx) + p) % 2 else "0"
+                for own in range(2)
+                for ctx in itertools.product(range(2), repeat=len(nb))
+            }
+            for p, nb in enumerate(nbrs)
+        )
+        twin = tuple({key: F(v) for key, v in table.items()} for table in spelled)
+        game = GraphicalGame(3, 2, nbrs, spelled)
+        exact = GraphicalGame(3, 2, nbrs, twin)
+        assert game == exact
+        assert graphical_equivalence(game, exact) is None
+        assert graphical_equivalence(exact, game) is None
+
+    def test_improvement_reads_an_entry_spelled_as_a_string(self):
+        tables = ({(0, ()): F(0), (1, ()): "\t1/3"},)
+        game = GraphicalGame(1, 2, ((),), tables)
+        assert pqlab.verify.graphical_improvement(game, (0,)) == F(1, 3)
+        assert pqlab.verify.graphical_improvement(game, (1,)) == 0
 
     def test_games_of_different_sizes_are_invalid(self):
         game = gen_random_graphical(4, 2, 1, 0)
